@@ -8,16 +8,14 @@
 //! ```
 //!
 //! `run` executes the workload matrix (in-memory vs streamed ×
-//! implication vs similarity × thread counts × planted scales), records
-//! median/MAD wall times and work-normalized rates per cell, and writes a
-//! `dmc.bench.v1` record. `compare` diffs two records and renders a
-//! per-cell verdict table; with `--gate` it exits nonzero when any cell
-//! regressed beyond the noise band **or** the current record's widest
-//! parallel cell is slower than its sequential cell in any
-//! (algorithm, mode, scale) group (the thread-scaling gate).
+//! implication vs similarity × planted scales), records median/MAD wall
+//! times and work-normalized rates per cell, and writes a `dmc.bench.v1`
+//! record. `compare` diffs two records and renders a per-cell verdict
+//! table; with `--gate` it exits nonzero when any cell regressed beyond
+//! the noise band.
 
 use dmc_bench::baseline;
-use dmc_bench::compare::{compare, render_scaling, scaling_checks, Tolerance};
+use dmc_bench::compare::{compare, Tolerance};
 use dmc_bench::suite::{run_suite, SuiteConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -29,13 +27,11 @@ fn usage() -> ExitCode {
          \x20          [--mad-k K] [--rel-floor F] [--abs-floor S]\n\
          \n\
          run      mine the workload matrix and write a dmc.bench.v1 record\n\
-         \x20        --quick    small scale, threads 1/4, 5 repeats (CI gate matrix)\n\
+         \x20        --quick    small scale, 5 repeats (CI gate matrix)\n\
          \x20        -o FILE    output path (default BENCH_<name>.json)\n\
          \x20        --name N   record name (default full/quick)\n\
-         compare  diff two records with a noise-aware threshold and check\n\
-         \x20      the current record's t1-vs-tmax thread scaling\n\
-         \x20        --gate       exit 1 when any cell regressed or any\n\
-         \x20                     parallel cell is slower than sequential\n\
+         compare  diff two records with a noise-aware threshold\n\
+         \x20        --gate       exit 1 when any cell regressed\n\
          \x20        --mad-k K    MAD multiplier in the noise band (default 3)\n\
          \x20        --rel-floor F  relative band floor (default 0.05)\n\
          \x20        --abs-floor S  absolute band floor in seconds (default 0.02)"
@@ -85,8 +81,8 @@ fn run(args: Vec<String>) -> ExitCode {
     }
     let out = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", config.name)));
     eprintln!(
-        "running {} suite: scales {:?}, threads {:?}, {} warmup + {} repeats per cell",
-        config.name, config.scales, config.threads, config.warmup, config.repeats
+        "running {} suite: scales {:?}, {} warmup + {} repeats per cell",
+        config.name, config.scales, config.warmup, config.repeats
     );
     let suite = run_suite(&config, |line| eprintln!("  {line}"));
     if let Err(e) = baseline::save(&suite, &out) {
@@ -94,11 +90,6 @@ fn run(args: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {} ({} cells)", out.display(), suite.cells.len());
-    // Advisory thread-scaling readout (the gate runs under `compare`).
-    let checks = scaling_checks(&suite, Tolerance::scaling());
-    if !checks.is_empty() {
-        eprint!("{}", render_scaling(&checks));
-    }
     ExitCode::SUCCESS
 }
 
@@ -171,32 +162,23 @@ fn run_compare(args: Vec<String>) -> ExitCode {
         }
     };
     print!("{}", cmp.render());
-    // Thread-scaling gate on the current record: parallel cells must not
-    // be slower than their sequential counterparts.
-    let checks = scaling_checks(&cur, Tolerance::scaling());
-    if !checks.is_empty() {
-        print!("{}", render_scaling(&checks));
-    }
-    let scaling_failures = checks.iter().filter(|c| !c.ok).count();
     let regressions = cmp.regressions();
-    if regressions.is_empty() && scaling_failures == 0 {
+    if regressions.is_empty() {
         println!(
-            "gate: PASS ({} cells within the noise band, {} scaling groups ok)",
-            cmp.cells.len(),
-            checks.len()
+            "gate: PASS ({} cells within the noise band)",
+            cmp.cells.len()
         );
         ExitCode::SUCCESS
     } else {
         println!(
-            "gate: {} ({} of {} cells regressed, {} scaling groups slower than t1)",
+            "gate: {} ({} of {} cells regressed)",
             if gate {
                 "FAIL"
             } else {
                 "problems found (advisory, no --gate)"
             },
             regressions.len(),
-            cmp.cells.len(),
-            scaling_failures
+            cmp.cells.len()
         );
         if gate {
             ExitCode::FAILURE

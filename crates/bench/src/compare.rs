@@ -42,21 +42,6 @@ impl Default for Tolerance {
 }
 
 impl Tolerance {
-    /// Default band for the thread-scaling gate ([`scaling_checks`]): a
-    /// tighter absolute floor than the cross-record diff, because the
-    /// symptom it guards against — parallel severalfold slower than
-    /// sequential on small cells — amounts to only a few milliseconds,
-    /// and a generous relative floor, because a parallel run merely
-    /// matching the sequential one is acceptable at small scales.
-    #[must_use]
-    pub fn scaling() -> Self {
-        Self {
-            mad_k: 3.0,
-            rel_floor: 0.25,
-            abs_floor: 0.005,
-        }
-    }
-
     /// Half-width of the noise band around the baseline median, given the
     /// two cells' MADs.
     #[must_use]
@@ -250,82 +235,6 @@ impl Comparison {
     }
 }
 
-/// One thread-scaling check: the widest parallel cell of an
-/// (algorithm, mode, scale) group against the sequential cell of the same
-/// record.
-#[derive(Clone, Debug)]
-pub struct ScalingCheck {
-    /// Group label, e.g. `imp/mem/small`.
-    pub group: String,
-    /// Sequential cell id (`t1`).
-    pub t1_id: String,
-    /// Widest parallel cell id (e.g. `t4`).
-    pub tmax_id: String,
-    /// Sequential median (seconds).
-    pub t1_median: f64,
-    /// Parallel median (seconds).
-    pub tmax_median: f64,
-    /// Noise-band half-width used (seconds).
-    pub band: f64,
-    /// True when the parallel median does not exceed the sequential one
-    /// beyond the band.
-    pub ok: bool,
-}
-
-/// The parallel-slower-than-sequential gate over a single record: for
-/// every (algorithm, mode, scale) group with both a `t1` cell and at
-/// least one parallel cell, the widest parallel cell's median must not
-/// exceed the sequential median by more than the noise band. Groups
-/// lacking either side are skipped.
-///
-/// This is an absolute property of one record, not a diff: a suite whose
-/// 4-thread cells are slower than its 1-thread cells is scheduling work
-/// badly no matter what the baseline says.
-#[must_use]
-pub fn scaling_checks(record: &BenchSuite, tolerance: Tolerance) -> Vec<ScalingCheck> {
-    let mut checks = Vec::new();
-    for t1 in record.cells.iter().filter(|c| c.threads == 1) {
-        let tmax = record
-            .cells
-            .iter()
-            .filter(|c| {
-                c.threads > 1
-                    && c.algorithm == t1.algorithm
-                    && c.mode == t1.mode
-                    && c.scale == t1.scale
-            })
-            .max_by_key(|c| c.threads);
-        let Some(tmax) = tmax else { continue };
-        let band = tolerance.band(t1.median_seconds, t1.mad_seconds, tmax.mad_seconds);
-        checks.push(ScalingCheck {
-            group: format!("{}/{}/{}", t1.algorithm, t1.mode, t1.scale),
-            t1_id: t1.id.clone(),
-            tmax_id: tmax.id.clone(),
-            t1_median: t1.median_seconds,
-            tmax_median: tmax.median_seconds,
-            band,
-            ok: tmax.median_seconds <= t1.median_seconds + band,
-        });
-    }
-    checks
-}
-
-/// Renders the scaling checks as an aligned table (one row per group).
-#[must_use]
-pub fn render_scaling(checks: &[ScalingCheck]) -> String {
-    let mut table = Table::new(vec!["group", "t1 (s)", "tmax (s)", "band (s)", "verdict"]);
-    for c in checks {
-        table.row(vec![
-            format!("{} ({} vs {})", c.group, c.t1_id, c.tmax_id),
-            format!("{:.4}", c.t1_median),
-            format!("{:.4}", c.tmax_median),
-            format!("{:.4}", c.band),
-            if c.ok { "ok" } else { "SLOWER THAN t1" }.to_string(),
-        ]);
-    }
-    table.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,42 +385,6 @@ mod tests {
         assert_eq!(cmp.regressions().len(), 1);
         assert_eq!(cmp.regressions()[0].id, "a");
         assert!(cmp.render().contains("REGRESSED"));
-    }
-
-    fn tcell(id: &str, threads: u64, median: f64, mad: f64) -> BenchCell {
-        let mut c = cell(id, median, mad);
-        c.threads = threads;
-        c
-    }
-
-    #[test]
-    fn scaling_gate_flags_parallel_slower_than_sequential() {
-        // The regression this gate exists for: 4 threads ~3x slower than
-        // 1 on the small in-memory cell.
-        let bad = suite(vec![
-            tcell("imp/mem/t1/small", 1, 0.0036, 0.0002),
-            tcell("imp/mem/t4/small", 4, 0.0112, 0.0003),
-        ]);
-        let checks = scaling_checks(&bad, Tolerance::scaling());
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].t1_id, "imp/mem/t1/small");
-        assert_eq!(checks[0].tmax_id, "imp/mem/t4/small");
-        assert!(!checks[0].ok);
-        assert!(render_scaling(&checks).contains("SLOWER THAN t1"));
-
-        // Parallel at or below sequential passes.
-        let good = suite(vec![
-            tcell("imp/mem/t1/small", 1, 0.0036, 0.0002),
-            tcell("imp/mem/t2/small", 2, 0.0050, 0.0002),
-            tcell("imp/mem/t4/small", 4, 0.0030, 0.0002),
-        ]);
-        let checks = scaling_checks(&good, Tolerance::scaling());
-        assert_eq!(checks.len(), 1, "only the widest parallel cell is checked");
-        assert!(checks[0].ok);
-
-        // Groups lacking a sequential or a parallel cell are skipped.
-        let lonely = suite(vec![tcell("imp/mem/t1/small", 1, 1.0, 0.01)]);
-        assert!(scaling_checks(&lonely, Tolerance::scaling()).is_empty());
     }
 
     proptest! {

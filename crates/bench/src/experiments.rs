@@ -634,9 +634,9 @@ pub fn ablation(scale: Scale) -> String {
     out
 }
 
-/// Structured run reports across the thread sweep: mines NewsP at 85%
-/// once per thread count (1/2/4/8, in-memory and streamed), checks each
-/// report's counters reconcile, writes the JSON array to
+/// Structured run reports: mines NewsP at 85% (implications in memory and
+/// streamed, similarities in memory), checks each report's counters
+/// reconcile, writes the JSON array to
 /// `BENCH_reports.json`, and returns a counter summary table.
 ///
 /// # Panics
@@ -669,25 +669,20 @@ pub fn reports(scale: Scale) -> String {
         ]);
         entries.push(r.to_json());
     };
-    for threads in [1usize, 2, 4, 8] {
-        let out = Miner::implications(thr)
-            .threads(threads)
-            .mine(&m)
-            .expect("in-memory mines cannot fail");
-        record(format!("imp t={threads}"), &out.report);
-    }
+    let out = Miner::implications(thr)
+        .mine(&m)
+        .expect("in-memory mines cannot fail");
+    record("imp".into(), &out.report);
     let rows: Vec<Result<Vec<dmc_core::ColumnId>, std::convert::Infallible>> =
         m.rows().map(|r| Ok(r.to_vec())).collect();
     let streamed = Miner::implications(thr)
-        .threads(4)
         .mine_streamed(rows, m.n_cols())
         .expect("in-memory rows cannot fail");
-    record("imp t=4 streamed".into(), &streamed.report);
+    record("imp streamed".into(), &streamed.report);
     let sim = Miner::similarities(thr)
-        .threads(4)
         .mine(&m)
         .expect("in-memory mines cannot fail");
-    record("sim t=4".into(), &sim.report);
+    record("sim".into(), &sim.report);
 
     let path = "BENCH_reports.json";
     let json = format!("[\n{}\n]\n", entries.join(",\n"));

@@ -1,33 +1,20 @@
 //! The `dmc-benchsuite` workload matrix and runner.
 //!
 //! A suite run mines a fixed matrix of cells — execution mode (in-memory
-//! vs streamed) × algorithm (implication vs similarity) × worker count ×
-//! dataset scale — on planted-rule datasets whose qualifying rule set is
-//! known by construction. Every cell runs `warmup` discarded passes plus
+//! vs streamed) × algorithm (implication vs similarity) × dataset scale —
+//! on planted-rule datasets whose qualifying rule set is known by
+//! construction. Every cell runs `warmup` discarded passes plus
 //! `repeats` measured passes; the wall time of each pass is taken from the
 //! driver's own [`RunReport::wall_seconds`] (not re-measured outside), so
 //! the record and the observability layer cannot drift apart.
 //!
 //! The counters double as a correctness cross-check: every repeat's report
-//! must satisfy [`RunReport::reconciles`], repeats of a cell must produce
-//! identical counter fingerprints, and the work counters (admissions,
-//! deletions, misses, emitted rules) must be invariant across thread
-//! counts running the same engine: `threads == 1` dispatches the
-//! sequential drivers, `threads > 1` the block-scheduler drivers, and the
-//! scheduler folds DMC-sim blocks at block granularity, so its
-//! `misses_counted` deterministically differs from the row-at-a-time
-//! sequential count. Across the two engines everything except
-//! `misses_counted` — admissions, deletions, emitted rules — must still
-//! agree exactly. A timing record whose work counters moved is measuring
-//! a different computation, not a faster one.
-//!
-//! The suite measures the miner as shipped: [`Miner`] resolves the
-//! requested thread count through `dmc_core::effective_workers`, so on a
-//! host with fewer cores than a cell's thread count the cell honestly
-//! measures the widest feasible plan (down to the sequential driver on a
-//! single core) rather than a deliberately oversubscribed one. The
-//! engine-split invariants above still hold: every cell in a `threads`
-//! group runs the same engine on a given host.
+//! must satisfy [`RunReport::reconciles`], and repeats of a cell must
+//! produce identical counter fingerprints. Every mining cell runs the one
+//! sequential pipeline (`t1`); the comparator flags a cell whose work
+//! counters moved against the baseline, because a timing record whose
+//! work counters moved is measuring a different computation, not a
+//! faster one.
 //!
 //! Besides the driver matrix, every scale contributes an **engine cell
 //! pair** measuring the persistent [`Engine`]: `engine/query/t1/*` (point
@@ -52,6 +39,7 @@ use dmc_core::{Engine, MineConfig, Miner, RunReport, SparseMatrix};
 use dmc_datagen::{planted_implications, PlantedConfig};
 use dmc_metrics::ScanTally;
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Which rule family a cell mines.
@@ -111,8 +99,6 @@ pub struct SuiteConfig {
     pub name: String,
     /// Dataset scales to cover.
     pub scales: Vec<Scale>,
-    /// Worker counts to cover (1 runs the sequential drivers).
-    pub threads: Vec<usize>,
     /// Discarded warm-up passes per cell.
     pub warmup: usize,
     /// Measured passes per cell.
@@ -124,16 +110,15 @@ pub struct SuiteConfig {
 }
 
 impl SuiteConfig {
-    /// The full matrix: small + medium planted data, threads 1/2/4/8,
-    /// 1 warm-up + 5 measured repeats per cell (32 driver cells plus an
-    /// engine query/ingest pair, a shard mine/merge pair and a compact
-    /// base/expand pair per scale, 44 total).
+    /// The full matrix: small + medium planted data, 1 warm-up + 5
+    /// measured repeats per cell (8 driver cells plus an engine
+    /// query/ingest pair, a shard mine/merge pair and a compact
+    /// base/expand pair per scale, 20 total).
     #[must_use]
     pub fn full() -> Self {
         Self {
             name: "full".into(),
             scales: vec![Scale::Small, Scale::Medium],
-            threads: vec![1, 2, 4, 8],
             warmup: 1,
             repeats: 5,
             minconf: 0.9,
@@ -141,10 +126,10 @@ impl SuiteConfig {
         }
     }
 
-    /// The CI gate matrix: small planted data only, threads 1/4,
-    /// 1 warm-up + 5 measured repeats per cell (8 driver cells plus the
-    /// engine query/ingest, shard mine/merge and compact base/expand
-    /// pairs, 14 total). The extra
+    /// The CI gate matrix: small planted data only, 1 warm-up + 5
+    /// measured repeats per cell (4 driver cells plus the engine
+    /// query/ingest, shard mine/merge and compact base/expand pairs, 10
+    /// total). The extra
     /// repeats over the minimum of 3 cost well under a second and buy a
     /// noticeably steadier median on shared runners.
     #[must_use]
@@ -152,7 +137,6 @@ impl SuiteConfig {
         Self {
             name: "quick".into(),
             scales: vec![Scale::Small],
-            threads: vec![1, 4],
             warmup: 1,
             repeats: 5,
             minconf: 0.9,
@@ -182,8 +166,8 @@ pub fn planted_matrix(scale: Scale) -> SparseMatrix {
 
 /// The counter fingerprint of a cell: every [`ScanTally`] field that must
 /// be identical across repeats, plus `spill_bytes` (deterministic for a
-/// fixed dataset). `rows_scanned` is kept for the record but excluded from
-/// the thread-invariance comparison.
+/// fixed dataset). `rows_scanned` and `spill_bytes` are kept for the
+/// record but excluded from the cross-record work comparison.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterFingerprint {
     pub rows_scanned: u64,
@@ -213,27 +197,16 @@ impl CounterFingerprint {
         }
     }
 
-    /// The fingerprint with the thread- and mode-dependent fields zeroed:
-    /// `rows_scanned` depends on the engine's stage accounting and
+    /// The fingerprint with the accounting- and mode-dependent fields
+    /// zeroed: `rows_scanned` depends on the stage accounting and
     /// `spill_bytes` on the mode, while the work counters must not move
-    /// between thread counts of the same engine.
+    /// between two records of the same cell.
     #[must_use]
     pub fn work_counters(&self) -> Self {
         Self {
             rows_scanned: 0,
             spill_bytes: 0,
             ..*self
-        }
-    }
-
-    /// The counters that must agree across *engines* (sequential vs block
-    /// scheduler): additionally zeroes `misses_counted`, which the
-    /// scheduler tallies at block granularity for DMC-sim.
-    #[must_use]
-    pub fn rule_counters(&self) -> Self {
-        Self {
-            misses_counted: 0,
-            ..self.work_counters()
         }
     }
 }
@@ -285,7 +258,8 @@ pub struct BenchSuite {
     pub name: String,
     /// Scale tags covered.
     pub scales: Vec<String>,
-    /// Worker counts covered.
+    /// Distinct worker counts of the cells, ascending (mining cells are
+    /// `t1`; the shard cells run one worker per shard).
     pub threads: Vec<u64>,
     /// Warm-up passes per cell.
     pub warmup: u64,
@@ -337,7 +311,6 @@ fn run_cell_once(
     matrix: &SparseMatrix,
     algorithm: Algorithm,
     mode: Mode,
-    threads: usize,
     config: &SuiteConfig,
     id: &str,
 ) -> RunReport {
@@ -346,28 +319,24 @@ fn run_cell_once(
     let report = match (algorithm, mode) {
         (Algorithm::Implication, Mode::InMemory) => {
             Miner::implications(config.minconf)
-                .threads(threads)
                 .mine(matrix)
                 .expect("in-memory mines cannot fail")
                 .report
         }
         (Algorithm::Implication, Mode::Streamed) => {
             Miner::implications(config.minconf)
-                .threads(threads)
                 .mine_streamed(rows(), matrix.n_cols())
                 .expect("in-memory row replay cannot fail")
                 .report
         }
         (Algorithm::Similarity, Mode::InMemory) => {
             Miner::similarities(config.minsim)
-                .threads(threads)
                 .mine(matrix)
                 .expect("in-memory mines cannot fail")
                 .report
         }
         (Algorithm::Similarity, Mode::Streamed) => {
             Miner::similarities(config.minsim)
-                .threads(threads)
                 .mine_streamed(rows(), matrix.n_cols())
                 .expect("in-memory row replay cannot fail")
                 .report
@@ -378,6 +347,48 @@ fn run_cell_once(
         "{id}: run report failed reconciliation"
     );
     report
+}
+
+/// The `{imp,sim}/{mem,stream}/t1/{scale}` driver cell: one mine per
+/// pass through the [`Miner`] facade, timed by the driver's own
+/// `wall_seconds`.
+fn driver_cell(
+    matrix: &SparseMatrix,
+    scale: Scale,
+    algorithm: Algorithm,
+    mode: Mode,
+    config: &SuiteConfig,
+) -> BenchCell {
+    let id = format!("{}/{}/t1/{}", algorithm.tag(), mode.tag(), scale_tag(scale));
+    let mut rules = None;
+    let (seconds, fp) = measure(config, &id, || {
+        let report = run_cell_once(matrix, algorithm, mode, config, &id);
+        let n = report.rules as u64;
+        assert_eq!(
+            *rules.get_or_insert(n),
+            n,
+            "{id}: rule count drifted between repeats"
+        );
+        (report.wall_seconds, CounterFingerprint::of(&report))
+    });
+    let threshold = match algorithm {
+        Algorithm::Implication => config.minconf,
+        Algorithm::Similarity => config.minsim,
+    };
+    let spec = CellSpec {
+        family: algorithm.tag(),
+        mode: mode.tag(),
+        threads: 1,
+        scale,
+        matrix_shape: (matrix.n_rows() as u64, matrix.n_cols() as u64),
+        threshold,
+        rules: rules.expect("repeats >= 1"),
+    };
+    let mut cell = family_cell(spec, seconds, fp);
+    if cell.median_seconds > 0.0 {
+        cell.spill_bytes_per_sec = fp.spill_bytes as f64 / cell.median_seconds;
+    }
+    cell
 }
 
 /// Point queries per pass of the `engine/query` cell.
@@ -630,9 +641,13 @@ fn shard_cells(matrix: &SparseMatrix, scale: Scale, config: &SuiteConfig) -> Vec
     use dmc_core::{merge_shards, plan_shards, shard_mine, RetryPolicy};
     use dmc_matrix::spill_io::StdFsIo;
 
+    // Concurrent suite runs in one process (the test harness runs tests
+    // in parallel) must not share, and so delete, each other's spills.
+    static RUN: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "dmc-bench-shard-{}-{}",
+        "dmc-bench-shard-{}-{}-{}",
         std::process::id(),
+        RUN.fetch_add(1, Ordering::Relaxed),
         scale_tag(scale)
     ));
     std::fs::create_dir_all(&dir).expect("bench shard temp dir");
@@ -780,113 +795,21 @@ fn compact_cells(matrix: &SparseMatrix, scale: Scale, config: &SuiteConfig) -> V
 /// # Panics
 ///
 /// Panics when a correctness cross-check fails: a repeat's report does not
-/// reconcile, repeats of a cell disagree on counters or rules, or work
-/// counters drift across thread counts of the same (algorithm, mode,
-/// scale) group.
+/// reconcile, or repeats of a cell disagree on counters or rules.
 #[must_use]
 pub fn run_suite(config: &SuiteConfig, mut progress: impl FnMut(&str)) -> BenchSuite {
     assert!(config.repeats >= 1, "need at least one measured repeat");
     let mut cells = Vec::new();
     for &scale in &config.scales {
         let matrix = planted_matrix(scale);
-        // (algorithm, mode, parallel-engine?) -> work-counter fingerprint
-        // of the first thread count in that engine, checked in full
-        // against every other thread count of the same engine and on the
-        // rule counters against the other engine.
-        let mut invariants: Vec<(Algorithm, Mode, bool, CounterFingerprint)> = Vec::new();
         for mode in [Mode::InMemory, Mode::Streamed] {
             for algorithm in [Algorithm::Implication, Algorithm::Similarity] {
-                for &threads in &config.threads {
-                    let id = format!(
-                        "{}/{}/t{}/{}",
-                        algorithm.tag(),
-                        mode.tag(),
-                        threads,
-                        scale_tag(scale)
-                    );
-                    for _ in 0..config.warmup {
-                        let _ = run_cell_once(&matrix, algorithm, mode, threads, config, &id);
-                    }
-                    let mut seconds = Vec::with_capacity(config.repeats);
-                    let mut first: Option<(CounterFingerprint, u64, f64)> = None;
-                    for repeat in 0..config.repeats {
-                        let report = run_cell_once(&matrix, algorithm, mode, threads, config, &id);
-                        let fp = CounterFingerprint::of(&report);
-                        let rules = report.rules as u64;
-                        match &first {
-                            None => first = Some((fp, rules, report.threshold)),
-                            Some((fp0, rules0, _)) => {
-                                assert_eq!(
-                                    fp, *fp0,
-                                    "{id}: counters drifted between repeats 0 and {repeat}"
-                                );
-                                assert_eq!(
-                                    rules, *rules0,
-                                    "{id}: rule count drifted between repeats"
-                                );
-                            }
-                        }
-                        seconds.push(report.wall_seconds);
-                    }
-                    let (fp, rules, threshold) = first.expect("repeats >= 1");
-                    let parallel = threads > 1;
-                    match invariants
-                        .iter()
-                        .find(|(a, m, p, _)| *a == algorithm && *m == mode && *p == parallel)
-                    {
-                        None => {
-                            if let Some((_, _, _, other)) =
-                                invariants.iter().find(|(a, m, p, _)| {
-                                    *a == algorithm && *m == mode && *p != parallel
-                                })
-                            {
-                                assert_eq!(
-                                    fp.rule_counters(),
-                                    other.rule_counters(),
-                                    "{id}: rule counters drifted between engines"
-                                );
-                            }
-                            invariants.push((algorithm, mode, parallel, fp.work_counters()));
-                        }
-                        Some((_, _, _, expected)) => assert_eq!(
-                            fp.work_counters(),
-                            *expected,
-                            "{id}: work counters are not thread-invariant"
-                        ),
-                    }
-                    let median_seconds = median(&seconds);
-                    let mad_seconds = mad(&seconds);
-                    let rate = |work: u64| {
-                        if median_seconds > 0.0 {
-                            work as f64 / median_seconds
-                        } else {
-                            0.0
-                        }
-                    };
-                    let cell = BenchCell {
-                        id: id.clone(),
-                        algorithm: algorithm.tag().into(),
-                        mode: mode.tag().into(),
-                        threads: threads as u64,
-                        scale: scale_tag(scale).into(),
-                        rows: matrix.n_rows() as u64,
-                        cols: matrix.n_cols() as u64,
-                        threshold,
-                        rules,
-                        median_seconds,
-                        mad_seconds,
-                        rows_per_sec: rate(fp.rows_scanned),
-                        deletions_per_sec: rate(fp.candidates_deleted),
-                        spill_bytes_per_sec: rate(fp.spill_bytes),
-                        seconds,
-                        counters: fp,
-                    };
-                    progress(&format!(
-                        "{id}: median {:.4}s mad {:.4}s ({} rules)",
-                        cell.median_seconds, cell.mad_seconds, cell.rules
-                    ));
-                    cells.push(cell);
-                }
+                let cell = driver_cell(&matrix, scale, algorithm, mode, config);
+                progress(&format!(
+                    "{}: median {:.4}s mad {:.4}s ({} rules)",
+                    cell.id, cell.median_seconds, cell.mad_seconds, cell.rules
+                ));
+                cells.push(cell);
             }
         }
         // The engine cell family: persistent-engine point queries and
@@ -911,11 +834,14 @@ pub fn run_suite(config: &SuiteConfig, mut progress: impl FnMut(&str)) -> BenchS
             cells.push(cell);
         }
     }
+    let mut threads: Vec<u64> = cells.iter().map(|c| c.threads).collect();
+    threads.sort_unstable();
+    threads.dedup();
     BenchSuite {
         schema: crate::baseline::BENCH_SCHEMA.into(),
         name: config.name.clone(),
         scales: config.scales.iter().map(|s| scale_tag(*s).into()).collect(),
-        threads: config.threads.iter().map(|t| *t as u64).collect(),
+        threads,
         warmup: config.warmup as u64,
         repeats: config.repeats as u64,
         cells,

@@ -30,7 +30,6 @@ use std::fmt;
 /// assert_eq!(a.count_ones(), 2);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitSet {
     words: Box<[u64]>,
     len: usize,

@@ -22,6 +22,8 @@ pub enum ArgError {
     BadValue(String, String),
     /// A required option was absent.
     Required(String),
+    /// The option no longer exists; payload is (option, why).
+    Removed(String, &'static str),
 }
 
 impl std::fmt::Display for ArgError {
@@ -30,6 +32,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(opt) => write!(f, "option --{opt} needs a value"),
             ArgError::BadValue(opt, v) => write!(f, "option --{opt}: invalid value {v:?}"),
             ArgError::Required(opt) => write!(f, "option --{opt} is required"),
+            ArgError::Removed(opt, why) => write!(f, "option --{opt} was removed: {why}"),
         }
     }
 }
@@ -41,7 +44,6 @@ const VALUED: &[&str] = &[
     "minconf",
     "minsim",
     "order",
-    "threads",
     "output",
     "rows",
     "cols",
@@ -71,12 +73,20 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError::MissingValue`] when a valued option ends the
-    /// argument list.
+    /// argument list, and [`ArgError::Removed`] for a removed option.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter();
         while let Some(token) = iter.next() {
             if let Some(name) = token.strip_prefix("--") {
+                // A removed option is a usage error, not a silently
+                // ignored flag.
+                if name == "threads" {
+                    return Err(ArgError::Removed(
+                        name.to_string(),
+                        "every mine runs sequentially",
+                    ));
+                }
                 if VALUED.contains(&name) {
                     match iter.next() {
                         Some(value) => {
@@ -162,9 +172,9 @@ mod tests {
 
     #[test]
     fn typed_access() {
-        let a = parse(&["--minconf", "0.85", "--threads", "4"]);
+        let a = parse(&["--minconf", "0.85", "--limit", "4"]);
         assert_eq!(a.get_or("minconf", 1.0).unwrap(), 0.85);
-        assert_eq!(a.get_or("threads", 1usize).unwrap(), 4);
+        assert_eq!(a.get_or("limit", 1usize).unwrap(), 4);
         assert_eq!(a.get_or("rows", 10usize).unwrap(), 10, "default applies");
         assert_eq!(a.require::<f64>("minconf").unwrap(), 0.85);
     }
@@ -183,6 +193,10 @@ mod tests {
             a.require::<f64>("minsim"),
             Err(ArgError::Required(_))
         ));
+
+        let err = Args::parse(vec!["--threads".to_string(), "4".to_string()]).unwrap_err();
+        assert!(matches!(err, ArgError::Removed(ref opt, _) if opt == "threads"));
+        assert!(err.to_string().contains("--threads was removed"));
     }
 
     #[test]

@@ -40,17 +40,6 @@ fn row_order(args: &Args) -> Result<RowOrder, Box<dyn Error>> {
     })
 }
 
-/// `--threads N` with `N >= 1`; zero is a usage error, not a silent
-/// clamp — the library clamps, but someone typing `--threads 0` asked
-/// for something that does not exist.
-fn worker_threads(args: &Args) -> Result<usize, Box<dyn Error>> {
-    let threads: usize = args.get_or("threads", 1)?;
-    if threads == 0 {
-        return Err(Box::new(ArgError::BadValue("threads".into(), "0".into())));
-    }
-    Ok(threads)
-}
-
 fn switch_policy(args: &Args) -> Result<SwitchPolicy, Box<dyn Error>> {
     let mut policy = SwitchPolicy::paper();
     policy.max_tail_rows = args.get_or("switch-rows", policy.max_tail_rows)?;
@@ -82,8 +71,7 @@ pub fn imp(args: &Args) -> CmdResult {
         .switch(switch_policy(args)?)
         .reverse(args.flag("reverse"))
         .hundred_stage(!args.flag("no-hundred-stage"))
-        .spill_retries(args.get_or("spill-retries", 3)?)
-        .threads(worker_threads(args)?);
+        .spill_retries(args.get_or("spill-retries", 3)?);
 
     if args.flag("stream") {
         // Out-of-core: one pass over the file plus spill-file replays;
@@ -137,7 +125,6 @@ fn print_imp(
     for (phase, time) in out.phases.phases() {
         eprintln!("  {phase:<12} {:.3}s", time.as_secs_f64());
     }
-    print_workers(&out.workers);
     let mut report = out.report.clone();
     if args.flag("compact") || args.get("base").is_some() {
         let base = dmc_core::compact_implications(&out.rules, minconf, None);
@@ -167,17 +154,6 @@ fn write_base(args: &Args, base: &CompactedBase) -> CmdResult {
     Ok(())
 }
 
-/// Per-worker lines (parallel drivers only; sequential runs leave this empty).
-fn print_workers(workers: &[dmc_core::WorkerReport]) {
-    for w in workers {
-        let busy = w.phases.total().as_secs_f64();
-        eprintln!(
-            "  worker {:<3} {busy:.3}s busy, {} blocks claimed ({} stolen)",
-            w.worker, w.blocks_processed, w.blocks_stolen
-        );
-    }
-}
-
 /// `dmc sim`: similarity rules.
 pub fn sim(args: &Args) -> CmdResult {
     let minsim: f64 = args.require("minsim")?;
@@ -186,8 +162,7 @@ pub fn sim(args: &Args) -> CmdResult {
         .switch(switch_policy(args)?)
         .max_hits_pruning(!args.flag("no-max-hits"))
         .hundred_stage(!args.flag("no-hundred-stage"))
-        .spill_retries(args.get_or("spill-retries", 3)?)
-        .threads(worker_threads(args)?);
+        .spill_retries(args.get_or("spill-retries", 3)?);
 
     let out = if args.flag("stream") {
         let n_cols: usize = args.require("cols")?;
@@ -216,7 +191,6 @@ pub fn sim(args: &Args) -> CmdResult {
         out.rules.len(),
         out.memory.peak_candidates()
     );
-    print_workers(&out.workers);
     let mut report = out.report.clone();
     if args.flag("compact") || args.get("base").is_some() {
         let base = dmc_core::compact_similarities(&out.rules, minsim);
@@ -445,7 +419,7 @@ pub fn serve(args: &Args) -> CmdResult {
         _ => return Err(Box::new(ArgError::Required("minconf | --minsim".into()))),
     };
     let matrix = load(args)?;
-    let engine = Engine::new(config, matrix).with_threads(worker_threads(args)?);
+    let engine = Engine::new(config, matrix);
     let options = dmc_serve::DaemonOptions {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         metrics: args.get("metrics").map(str::to_string),

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! dmc imp <file> --minconf 0.9 [--order bucketed|sorted|original]
-//!                [--reverse] [--threads N] [--limit N] [--quiet]
-//! dmc sim <file> --minsim 0.8 [--order …] [--threads N] [--limit N] [--quiet]
+//!                [--reverse] [--limit N] [--quiet]
+//! dmc sim <file> --minsim 0.8 [--order …] [--limit N] [--quiet]
 //! dmc groups <file> --minconf 0.9 --minsim 0.9
 //! dmc stats <file>
 //! dmc gen <weblog|linkgraph|news|dictionary> --rows N --cols N
@@ -23,18 +23,17 @@ const USAGE: &str = "\
 usage: dmc <command> [args]
 commands:
   imp <file> --minconf X   mine implication rules (file '-' = stdin)
-      [--order bucketed|sorted|original] [--reverse] [--threads N]
+      [--order bucketed|sorted|original] [--reverse]
       [--switch-rows N --switch-bytes N] [--limit N] [--quiet]
       [--metrics FILE|-]   write the JSON run report ('-' = stdout)
       [--stream --cols N]  out-of-core: spill to disk, never materialize
-                           (--threads N fans the replay out to N workers)
       [--spill-retries N]  transient spill-fault retry cap (default 3)
       [--compact] [--base FILE]
                            also compute the irredundant rule base: report
                            the compaction ratio (and the report's
                            'compaction' section), write the base to FILE
   sim <file> --minsim X    mine similarity rules
-      [--order ...] [--no-max-hits] [--threads N] [--limit N] [--quiet]
+      [--order ...] [--no-max-hits] [--limit N] [--quiet]
       [--metrics FILE|-] [--stream --cols N] [--spill-retries N]
       [--compact] [--base FILE]
   compact <rules-file> --minconf X | --minsim X
@@ -56,7 +55,7 @@ commands:
   serve <file> --minconf X | --minsim X
                            mine once, then serve rule queries and row
                            ingest over length-framed JSON TCP
-      [--threads N] [--addr HOST:PORT] [--metrics FILE|-]
+      [--addr HOST:PORT] [--metrics FILE|-]
                            (default addr 127.0.0.1:0; the chosen port is
                            printed as 'listening on HOST:PORT')
       [--telemetry-addr HOST:PORT]

@@ -7,9 +7,6 @@ const BIN: &str = env!("CARGO_BIN_EXE_dmc");
 
 fn run(args: &[&str], stdin: Option<&str>) -> (String, String, bool) {
     let mut cmd = Command::new(BIN);
-    // Lift the host-core cap on worker resolution so `--threads N` spawns
-    // exactly N workers in these tests even on a single-core CI box.
-    cmd.env("DMC_SCHED_OVERSUBSCRIBE", "1");
     cmd.args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
     if stdin.is_some() {
         cmd.stdin(Stdio::piped());
@@ -92,17 +89,6 @@ fn gen_roundtrips_through_stats() {
 }
 
 #[test]
-fn parallel_flag_matches_sequential() {
-    let input = "# cols 4\n0 1 2\n0 1\n1 2 3\n0 1 2\n";
-    let (seq, _, _) = run(&["imp", "-", "--minconf", "0.6"], Some(input));
-    let (par, _, _) = run(
-        &["imp", "-", "--minconf", "0.6", "--threads", "3"],
-        Some(input),
-    );
-    assert_eq!(seq, par);
-}
-
-#[test]
 fn bad_usage_fails_cleanly() {
     let (_, stderr, ok) = run(&["imp", "-"], Some(FIG1));
     assert!(!ok, "missing --minconf must fail");
@@ -153,70 +139,10 @@ fn streamed_mode_matches_in_memory() {
     assert_eq!(sim_mem, sim_str);
 }
 
-#[test]
-fn streamed_parallel_matches_streamed_sequential() {
-    let dir = std::env::temp_dir().join("dmc-cli-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("stream-parallel-input.txt");
-    std::fs::write(
-        &path,
-        "# cols 5\n0 1 2\n0 1\n1 2 3\n0 1 2\n0 1 4\n2 3 4\n0 1\n",
-    )
-    .unwrap();
-    let p = path.to_str().unwrap();
-
-    let (seq, _, ok1) = run(
-        &["imp", p, "--minconf", "0.6", "--stream", "--cols", "5"],
-        None,
-    );
-    for threads in ["1", "2", "4"] {
-        let (par, stderr, ok2) = run(
-            &[
-                "imp",
-                p,
-                "--minconf",
-                "0.6",
-                "--stream",
-                "--cols",
-                "5",
-                "--threads",
-                threads,
-            ],
-            None,
-        );
-        assert!(ok1 && ok2, "{stderr}");
-        assert_eq!(seq, par, "threads={threads}");
-        if threads != "1" {
-            assert!(stderr.contains("worker"), "{stderr}");
-        }
-    }
-
-    let (sim_seq, _, _) = run(
-        &["sim", p, "--minsim", "0.4", "--stream", "--cols", "5"],
-        None,
-    );
-    let (sim_par, _, _) = run(
-        &[
-            "sim",
-            p,
-            "--minsim",
-            "0.4",
-            "--stream",
-            "--cols",
-            "5",
-            "--threads",
-            "3",
-        ],
-        None,
-    );
-    assert_eq!(sim_seq, sim_par);
-}
-
 /// Like [`run`], but returns the raw exit code (usage errors exit 2,
 /// runtime failures exit 1).
 fn run_code(args: &[&str], stdin: Option<&str>) -> (String, Option<i32>) {
     let mut cmd = Command::new(BIN);
-    cmd.env("DMC_SCHED_OVERSUBSCRIBE", "1");
     cmd.args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
     if stdin.is_some() {
         cmd.stdin(Stdio::piped());
@@ -232,11 +158,15 @@ fn run_code(args: &[&str], stdin: Option<&str>) -> (String, Option<i32>) {
     )
 }
 
+/// `--threads` was removed (every mine runs sequentially): any value,
+/// zero included, is a usage error rather than a silently ignored flag.
 #[test]
 fn zero_threads_is_a_usage_error() {
     for cmd in [
         vec!["imp", "-", "--minconf", "0.9", "--threads", "0"],
         vec!["sim", "-", "--minsim", "0.8", "--threads", "0"],
+        vec!["imp", "-", "--minconf", "0.9", "--threads", "4"],
+        vec!["serve", "-", "--minconf", "0.9", "--threads", "2"],
     ] {
         let (stderr, code) = run_code(&cmd, Some(FIG1));
         assert_eq!(code, Some(2), "usage error exit code: {stderr}");
@@ -292,7 +222,7 @@ fn metrics_to_stdout_emits_reconciling_json() {
 }
 
 #[test]
-fn metrics_file_written_for_streamed_parallel_sim() {
+fn metrics_file_written_for_streamed_sim() {
     let dir = std::env::temp_dir().join("dmc-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let data = dir.join("metrics-input.txt");
@@ -306,8 +236,6 @@ fn metrics_file_written_for_streamed_parallel_sim() {
             "0.4",
             "--stream",
             "--cols",
-            "4",
-            "--threads",
             "4",
             "--quiet",
             "--metrics",
@@ -324,9 +252,9 @@ fn metrics_file_written_for_streamed_parallel_sim() {
         Some("similarity")
     );
     assert_eq!(json.get("mode").and_then(|v| v.as_str()), Some("streamed"));
-    assert_eq!(json.get("threads").and_then(|v| v.as_u64()), Some(4));
+    assert_eq!(json.get("threads").and_then(|v| v.as_u64()), Some(0));
     let workers = json.get("workers").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(workers.len(), 4);
+    assert!(workers.is_empty(), "every mine is sequential");
     assert!(
         json.get("spill_bytes").and_then(|v| v.as_u64()).unwrap() > 0,
         "streamed runs record spill bytes"

@@ -2,7 +2,7 @@
 //!
 //! [`BaseScan`] holds the full second-scan state — per-column 1-counts from
 //! the pre-scan, running `cnt` counters, miss budgets and candidate lists —
-//! and processes one row at a time. The driver in [`crate::imp`] feeds it
+//! and processes one row at a time. The staged pipeline ([`crate::pipeline`]) feeds it
 //! rows in the configured order and may hand the remainder of the scan to
 //! the DMC-bitmap tail phase ([`crate::bitmap`]).
 //!
@@ -24,7 +24,6 @@
 use crate::candidates::{ColumnLists, ImpCandidate};
 use crate::rules::ImplicationRule;
 use crate::threshold::max_misses_conf;
-use dmc_bitset::BitMatrix;
 use dmc_matrix::{canonical_less, ColumnId};
 use dmc_metrics::{CounterMemory, ScanTally};
 
@@ -45,8 +44,8 @@ pub struct BaseScan {
     /// Column participates in this scan (Algorithm 4.2 step 3 removal).
     pub(crate) active: Vec<bool>,
     /// Optional additional LHS restriction (columns outside it still serve
-    /// as RHS candidates) — used by [`BaseScan::apply_block`] to replay a
-    /// block only for the columns whose lists were open at block start.
+    /// as RHS candidates) — installed by the shard workers so one shard
+    /// owns exactly the rules of its LHS-column range.
     pub(crate) lhs_mask: Option<Vec<bool>>,
     /// Column has completed (all its 1s seen) and its rules were emitted.
     pub(crate) done: Vec<bool>,
@@ -189,86 +188,6 @@ impl BaseScan {
     /// Records the per-row memory history sample.
     pub fn sample_memory(&mut self, rows_scanned: usize) {
         self.mem.sample(rows_scanned);
-    }
-
-    /// Applies one scheduler block: `rows` are the block's rows in scan
-    /// order and `bm` their pre-aggregated per-column bitmaps (bit `t` of
-    /// column `c` ⇔ `c ∈ rows[t]`).
-    ///
-    /// Columns whose lists are still *open* (`cnt ≤ maxmis`) at block start
-    /// replay the rows through [`BaseScan::process_row`] — exact sequential
-    /// semantics, since admissions depend on row contents. Columns already
-    /// *closed* only ever increment or delete, so their per-candidate block
-    /// misses are folded word-batched from `bm` instead (`u64` popcounts
-    /// over `lhs & !rhs`). The resulting state — lists, counters, rules and
-    /// tallies — is identical to processing the rows one by one.
-    pub(crate) fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &BitMatrix) {
-        let m = self.ones.len();
-        let saved = self.lhs_mask.take();
-        let open: Vec<bool> = (0..m)
-            .map(|ji| {
-                self.active[ji]
-                    && !self.done[ji]
-                    && saved.as_ref().is_none_or(|s| s[ji])
-                    && self.cnt[ji] <= self.maxmis[ji]
-            })
-            .collect();
-        self.lhs_mask = Some(open);
-        for row in rows {
-            self.process_row(row);
-        }
-        let open = std::mem::replace(&mut self.lhs_mask, saved).expect("mask was just installed");
-        for (ji, &is_open) in open.iter().enumerate() {
-            let j = ji as ColumnId;
-            if is_open || !self.is_lhs(j) {
-                continue;
-            }
-            let block_ones = bm.count_ones(j) as u32;
-            if block_ones == 0 {
-                continue;
-            }
-            self.fold_closed(j, block_ones, bm);
-        }
-    }
-
-    /// Folds one block into a closed column: word-batched miss counting
-    /// against every surviving candidate, then the counter advance and
-    /// (possibly) completion that the masked replay skipped.
-    fn fold_closed(&mut self, j: ColumnId, block_ones: u32, bm: &BitMatrix) {
-        let ji = j as usize;
-        let maxmis_j = self.maxmis[ji];
-        if let Some(mut list) = self.lists.take(j) {
-            let before = list.len();
-            let mut write = 0;
-            for read in 0..list.len() {
-                let mut c = list[read];
-                let block_miss = bm.miss_count(j, c.col) as u32;
-                if block_miss > 0 {
-                    // The sequential scan stops counting a candidate's
-                    // misses at the one that deletes it.
-                    let applied = block_miss.min(maxmis_j + 1 - c.miss);
-                    c.miss += applied;
-                    self.tally.miss(applied as usize);
-                    if c.miss > maxmis_j {
-                        self.tally.delete(1);
-                        continue;
-                    }
-                }
-                list[write] = c;
-                write += 1;
-            }
-            list.truncate(write);
-            self.mem.remove_candidates(before - write);
-            if list.is_empty() {
-                self.mem.remove_list();
-            } else {
-                self.lists.put_back(j, list);
-            }
-        }
-        self.cnt[ji] += block_ones;
-        if self.cnt[ji] == self.ones[ji] {
-            self.complete_column(j);
-        }
     }
 
     fn create_list(&mut self, j: ColumnId, row: &[ColumnId]) {
@@ -624,38 +543,6 @@ mod tests {
 
     /// Block application is state-identical to row-by-row processing —
     /// rules, tallies and counters — at every block size and threshold.
-    #[test]
-    fn apply_block_matches_row_by_row() {
-        let m = fig2();
-        for &minconf in &[1.0, 0.8, 0.5] {
-            let mut seq = BaseScan::new(m.n_cols(), minconf, m.column_ones(), None, true, false);
-            for row in m.rows() {
-                seq.process_row(row);
-            }
-            let rows: Vec<Vec<ColumnId>> = m.rows().map(<[ColumnId]>::to_vec).collect();
-            for block in 1..=m.n_rows() {
-                let mut blk =
-                    BaseScan::new(m.n_cols(), minconf, m.column_ones(), None, true, false);
-                for chunk in rows.chunks(block) {
-                    let mut bm = BitMatrix::new(chunk.len());
-                    for (t, row) in chunk.iter().enumerate() {
-                        for &c in row {
-                            bm.set(c, t);
-                        }
-                    }
-                    blk.apply_block(chunk, &bm);
-                }
-                let mut expected = seq.rules.clone();
-                expected.sort();
-                let mut got = blk.rules.clone();
-                got.sort();
-                assert_eq!(got, expected, "minconf={minconf} block={block}");
-                assert_eq!(blk.tally(), seq.tally(), "minconf={minconf} block={block}");
-                assert_eq!(blk.cnt, seq.cnt, "minconf={minconf} block={block}");
-            }
-        }
-    }
-
     #[test]
     fn duplicate_columns_pair_at_full_confidence() {
         // Columns 0 and 1 are identical; 2 is different.

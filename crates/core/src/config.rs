@@ -11,7 +11,6 @@ use dmc_matrix::spill_io::{RetryPolicy, SpillSettings};
 /// configurable here. [`SwitchPolicy::never`] disables the switch (useful
 /// for ablation).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SwitchPolicy {
     /// Switch only when this many or fewer rows remain.
     pub max_tail_rows: usize,
@@ -64,17 +63,8 @@ impl Default for SwitchPolicy {
     }
 }
 
-/// Default row-block size for the parallel block scheduler.
-pub const DEFAULT_BLOCK_ROWS: usize = 512;
-
-#[cfg(feature = "serde")]
-fn default_block_rows() -> usize {
-    DEFAULT_BLOCK_ROWS
-}
-
 /// Configuration for [`crate::find_implications`] (DMC-imp).
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImplicationConfig {
     /// Minimum confidence in `(0, 1]`.
     pub minconf: f64,
@@ -99,15 +89,8 @@ pub struct ImplicationConfig {
     /// Record the per-row candidate-count history (the Fig-3 curve) in the
     /// output's memory tracker.
     pub record_memory_history: bool,
-    /// Rows per block for the parallel block scheduler. Values below 1 are
-    /// treated as 1. Ignored by the sequential drivers. The
-    /// `DMC_BLOCK_ROWS` environment variable, when set and parseable,
-    /// overrides this at run time (useful for stress testing).
-    #[cfg_attr(feature = "serde", serde(default = "default_block_rows"))]
-    pub block_rows: usize,
     /// Spill I/O settings for the streamed drivers (backend, retry policy,
     /// directory). Ignored by the in-memory drivers.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
     pub spill: SpillSettings,
 }
 
@@ -131,7 +114,6 @@ impl ImplicationConfig {
             release_completed: true,
             emit_reverse: false,
             record_memory_history: false,
-            block_rows: DEFAULT_BLOCK_ROWS,
             spill: SpillSettings::default(),
         }
     }
@@ -164,13 +146,6 @@ impl ImplicationConfig {
         self
     }
 
-    /// Builder-style: set the parallel scheduler's rows-per-block.
-    #[must_use]
-    pub fn with_block_rows(mut self, block_rows: usize) -> Self {
-        self.block_rows = block_rows;
-        self
-    }
-
     /// Builder-style: set the spill I/O settings (streamed drivers).
     #[must_use]
     pub fn with_spill(mut self, spill: SpillSettings) -> Self {
@@ -191,7 +166,6 @@ impl ImplicationConfig {
 
 /// Configuration for [`crate::find_similarities`] (DMC-sim).
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimilarityConfig {
     /// Minimum Jaccard similarity in `(0, 1]`.
     pub minsim: f64,
@@ -209,13 +183,8 @@ pub struct SimilarityConfig {
     pub release_completed: bool,
     /// Record the per-row candidate-count history.
     pub record_memory_history: bool,
-    /// Rows per block for the parallel block scheduler (see
-    /// [`ImplicationConfig::block_rows`]).
-    #[cfg_attr(feature = "serde", serde(default = "default_block_rows"))]
-    pub block_rows: usize,
     /// Spill I/O settings for the streamed drivers (backend, retry policy,
     /// directory). Ignored by the in-memory drivers.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
     pub spill: SpillSettings,
 }
 
@@ -239,7 +208,6 @@ impl SimilarityConfig {
             max_hits_pruning: true,
             release_completed: true,
             record_memory_history: false,
-            block_rows: DEFAULT_BLOCK_ROWS,
             spill: SpillSettings::default(),
         }
     }
@@ -269,13 +237,6 @@ impl SimilarityConfig {
     #[must_use]
     pub fn with_hundred_stage(mut self, on: bool) -> Self {
         self.hundred_stage = on;
-        self
-    }
-
-    /// Builder-style: set the parallel scheduler's rows-per-block.
-    #[must_use]
-    pub fn with_block_rows(mut self, block_rows: usize) -> Self {
-        self.block_rows = block_rows;
         self
     }
 
@@ -350,13 +311,5 @@ mod tests {
 
         let s = SimilarityConfig::new(0.8).with_max_hits_pruning(false);
         assert!(!s.max_hits_pruning);
-    }
-
-    #[test]
-    fn block_rows_defaults_and_builds() {
-        assert_eq!(ImplicationConfig::new(0.9).block_rows, DEFAULT_BLOCK_ROWS);
-        assert_eq!(SimilarityConfig::new(0.9).block_rows, DEFAULT_BLOCK_ROWS);
-        assert_eq!(ImplicationConfig::new(0.9).with_block_rows(7).block_rows, 7);
-        assert_eq!(SimilarityConfig::new(0.9).with_block_rows(3).block_rows, 3);
     }
 }

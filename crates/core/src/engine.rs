@@ -59,10 +59,9 @@ use crate::compact::{CompactedBase, CompactionConfig};
 use crate::config::{ImplicationConfig, SimilarityConfig};
 use crate::error::{ConfigError, MineError};
 use crate::fxhash::FxHashMap;
-use crate::imp::{find_implications, ImplicationOutput};
-use crate::parallel::{find_implications_parallel, find_similarities_parallel};
+use crate::imp::find_implications;
 use crate::rules::{ImplicationRule, SimilarityRule};
-use crate::sim::{find_similarities, SimilarityOutput};
+use crate::sim::find_similarities;
 use crate::threshold::{conf_qualifies, sim_qualifies};
 use dmc_matrix::{canonical_less, ColumnId, RowId, SparseMatrix};
 use dmc_metrics::{IngestStats, RunReport};
@@ -222,7 +221,6 @@ fn intersect_len(a: &[RowId], b: &[RowId]) -> u32 {
 #[derive(Debug)]
 pub struct Engine {
     config: MineConfig,
-    threads: usize,
     matrix: SparseMatrix,
     /// `S_c` per column, ascending row ids; `ones(c) = postings[c].len()`.
     postings: Vec<Vec<RowId>>,
@@ -249,7 +247,6 @@ impl Engine {
         let postings = matrix.column_rows();
         Self {
             config,
-            threads: 1,
             matrix,
             postings,
             tracked: FxHashMap::default(),
@@ -261,15 +258,6 @@ impl Engine {
             compaction: None,
             base: None,
         }
-    }
-
-    /// Builder-style worker count for [`Engine::mine`], resolved through
-    /// [`effective_workers`](crate::effective_workers) like the facade.
-    /// Ingest and queries are always single-threaded.
-    #[must_use]
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
     }
 
     /// Builder-style compaction stage: the engine maintains an
@@ -393,12 +381,8 @@ impl Engine {
     }
 
     /// Mines the owned matrix from scratch, (re)building the tracked
-    /// candidate set, and returns the run report.
-    ///
-    /// Dispatches exactly like [`Miner`](crate::Miner): the requested
-    /// thread count resolves through
-    /// [`effective_workers`](crate::effective_workers), `<= 1` running
-    /// the sequential drivers. Rules are bit-identical either way.
+    /// candidate set, and returns the run report. Runs the same
+    /// in-memory drivers as [`Miner`](crate::Miner).
     pub fn mine(&mut self) -> &RunReport {
         let _span = dmc_metrics::span!("engine.mine");
         dmc_metrics::telemetry::global()
@@ -406,7 +390,7 @@ impl Engine {
             .inc();
         match &self.config {
             MineConfig::Implication(cfg) => {
-                let out = dispatch_implications(&self.matrix, cfg, self.threads);
+                let out = find_implications(&self.matrix, cfg);
                 self.tracked = out
                     .rules
                     .iter()
@@ -416,7 +400,7 @@ impl Engine {
                 self.report = Some(out.report);
             }
             MineConfig::Similarity(cfg) => {
-                let out = dispatch_similarities(&self.matrix, cfg, self.threads);
+                let out = find_similarities(&self.matrix, cfg);
                 self.tracked = out
                     .rules
                     .iter()
@@ -673,36 +657,6 @@ impl Engine {
         }
         self.refresh_base();
         died
-    }
-}
-
-/// One dispatch path for in-memory implication mines, shared by
-/// [`Engine::mine`] and the [`Miner`](crate::Miner) facade.
-pub(crate) fn dispatch_implications(
-    matrix: &SparseMatrix,
-    config: &ImplicationConfig,
-    threads: usize,
-) -> ImplicationOutput {
-    let workers = crate::fanout::effective_workers(threads);
-    if workers <= 1 {
-        find_implications(matrix, config)
-    } else {
-        find_implications_parallel(matrix, config, workers)
-    }
-}
-
-/// One dispatch path for in-memory similarity mines, shared by
-/// [`Engine::mine`] and the [`Miner`](crate::Miner) facade.
-pub(crate) fn dispatch_similarities(
-    matrix: &SparseMatrix,
-    config: &SimilarityConfig,
-    threads: usize,
-) -> SimilarityOutput {
-    let workers = crate::fanout::effective_workers(threads);
-    if workers <= 1 {
-        find_similarities(matrix, config)
-    } else {
-        find_similarities_parallel(matrix, config, workers)
     }
 }
 

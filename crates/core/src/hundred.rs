@@ -56,22 +56,10 @@ pub struct HundredScan {
 
 impl HundredScan {
     /// Prepares a scan over an `n_cols`-column matrix with the given
-    /// pre-scan `ones`.
+    /// pre-scan `ones`, optionally recording the per-row memory history
+    /// (the Fig-3 curve) — sample it via [`HundredScan::sample_memory`].
     #[must_use]
-    pub fn new(n_cols: usize, mode: HundredMode, ones: Vec<u32>) -> Self {
-        Self::with_history(n_cols, mode, ones, false)
-    }
-
-    /// Like [`HundredScan::new`], optionally recording the per-row memory
-    /// history (the Fig-3 curve) — sample it via
-    /// [`HundredScan::sample_memory`].
-    #[must_use]
-    pub fn with_history(
-        n_cols: usize,
-        mode: HundredMode,
-        ones: Vec<u32>,
-        record_history: bool,
-    ) -> Self {
+    pub fn new(n_cols: usize, mode: HundredMode, ones: Vec<u32>, record_history: bool) -> Self {
         let m = n_cols;
         assert_eq!(ones.len(), m);
         Self {
@@ -160,64 +148,6 @@ impl HundredScan {
             }
             self.cnt[j as usize] += 1;
             if self.cnt[j as usize] == self.ones[j as usize] {
-                self.complete(j);
-            }
-        }
-    }
-
-    /// Applies one scheduler block entirely from its pre-aggregated
-    /// bitmaps — no per-row replay at all.
-    ///
-    /// With `maxmis = 0` the sequential scan only ever (a) creates a
-    /// column's list from its first row and (b) intersects it with later
-    /// rows. Both fold to bitmap operations over the block: the list is
-    /// created from the row of `j`'s first block 1 (`first_one`), and a
-    /// candidate survives iff `popcount(bm(j) & !bm(k)) == 0`. Rules,
-    /// tallies and counters match row-by-row processing exactly.
-    pub(crate) fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &BitMatrix) {
-        self.tally.rows(rows.len());
-        for ji in 0..self.ones.len() {
-            let j = ji as ColumnId;
-            if !self.is_lhs(j) || self.ones[ji] == 0 {
-                continue;
-            }
-            let Some(bits) = bm.get(j) else {
-                continue;
-            };
-            let block_ones = bits.count_ones() as u32;
-            if block_ones == 0 {
-                continue;
-            }
-            if self.cnt[ji] == 0 {
-                // Rows before `t0` have no `j`, so they contribute no
-                // misses: installing from `t0` then folding the whole
-                // block's misses below is exact.
-                let t0 = bits.first_one().expect("bitmap has a set bit");
-                let list: Vec<ColumnId> = rows[t0]
-                    .iter()
-                    .copied()
-                    .filter(|&k| self.admissible(j, k))
-                    .collect();
-                self.tally.admit(list.len());
-                self.lists.install(j, list, &mut self.mem);
-            }
-            if let Some(mut list) = self.lists.take(j) {
-                let before = list.len();
-                list.retain(|&k| bm.miss_count(j, k) == 0);
-                let dropped = before - list.len();
-                // One miss deletes a candidate, exactly as in the
-                // sequential intersection.
-                self.tally.miss(dropped);
-                self.tally.delete(dropped);
-                self.mem.remove_candidates(dropped);
-                if list.is_empty() {
-                    self.mem.remove_list();
-                } else {
-                    self.lists.put_back(j, list);
-                }
-            }
-            self.cnt[ji] += block_ones;
-            if self.cnt[ji] == self.ones[ji] {
                 self.complete(j);
             }
         }
@@ -360,6 +290,7 @@ mod tests {
             matrix.n_cols(),
             HundredMode::Implication,
             matrix.column_ones(),
+            false,
         );
         for r in 0..head {
             scan.process_row(matrix.row(r));
@@ -393,6 +324,7 @@ mod tests {
             matrix.n_cols(),
             HundredMode::Identical,
             matrix.column_ones(),
+            false,
         );
         for r in 0..head {
             scan.process_row(matrix.row(r));
@@ -442,51 +374,10 @@ mod tests {
     /// Block application is state-identical to row-by-row processing for
     /// both modes at every block size — rules, tallies, counters.
     #[test]
-    fn apply_block_matches_row_by_row() {
-        let m = SparseMatrix::from_rows(
-            5,
-            vec![vec![0, 1, 2, 4], vec![0, 2, 3], vec![1, 3, 4], vec![0, 2]],
-        );
-        let rows: Vec<Vec<ColumnId>> = m.rows().map(<[ColumnId]>::to_vec).collect();
-        for mode in [HundredMode::Implication, HundredMode::Identical] {
-            let mut seq = HundredScan::new(m.n_cols(), mode, m.column_ones());
-            for row in m.rows() {
-                seq.process_row(row);
-            }
-            seq.finish_with_bitmaps(&[]);
-            for block in 1..=m.n_rows() {
-                let mut blk = HundredScan::new(m.n_cols(), mode, m.column_ones());
-                for chunk in rows.chunks(block) {
-                    let mut bm = BitMatrix::new(chunk.len());
-                    for (t, row) in chunk.iter().enumerate() {
-                        for &c in row {
-                            bm.set(c, t);
-                        }
-                    }
-                    blk.apply_block(chunk, &bm);
-                }
-                blk.finish_with_bitmaps(&[]);
-                assert_eq!(blk.tally(), seq.tally(), "mode={mode:?} block={block}");
-                assert_eq!(blk.cnt, seq.cnt, "mode={mode:?} block={block}");
-                let sorted = |s: &HundredScan| {
-                    let mut pairs: Vec<(ColumnId, ColumnId)> = s
-                        .imp_rules
-                        .iter()
-                        .map(|r| (r.lhs, r.rhs))
-                        .chain(s.sim_rules.iter().map(|r| (r.a, r.b)))
-                        .collect();
-                    pairs.sort_unstable();
-                    pairs
-                };
-                assert_eq!(sorted(&blk), sorted(&seq), "mode={mode:?} block={block}");
-            }
-        }
-    }
-
-    #[test]
     fn memory_is_released_at_completion() {
         let m = fig1();
-        let mut scan = HundredScan::new(m.n_cols(), HundredMode::Implication, m.column_ones());
+        let mut scan =
+            HundredScan::new(m.n_cols(), HundredMode::Implication, m.column_ones(), false);
         for row in m.rows() {
             scan.process_row(row);
         }

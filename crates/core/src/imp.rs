@@ -9,19 +9,14 @@
 //!    DMC-bitmap per the configured [`SwitchPolicy`].
 //!
 //! Both counting stages scan rows in the configured order and monitor the
-//! counter-array footprint; the driver collects phase timings, peak memory
-//! and (optionally) the Fig-3 memory history into [`ImplicationOutput`].
+//! counter-array footprint; the staged pipeline ([`crate::pipeline`])
+//! collects phase timings, peak memory and (optionally) the Fig-3 memory
+//! history into [`ImplicationOutput`].
 
-use crate::base::BaseScan;
-use crate::bitmap::finish_with_bitmaps;
 use crate::config::ImplicationConfig;
-use crate::hundred::{HundredMode, HundredScan};
 use crate::rules::ImplicationRule;
-use crate::threshold::{conf_qualifies, only_exact_rules_conf};
-use dmc_matrix::{ColumnId, RowId, SparseMatrix};
-use dmc_metrics::{
-    CounterMemory, PhaseReport, PhaseTimer, ReportBuilder, RunReport, StageReport, WorkerReport,
-};
+use dmc_matrix::{ColumnId, SparseMatrix};
+use dmc_metrics::{CounterMemory, PhaseReport, RunReport};
 
 /// Result of [`find_implications`].
 #[derive(Debug)]
@@ -34,13 +29,8 @@ pub struct ImplicationOutput {
     /// Counter-array accounting across all stages (peak = max over stages).
     pub memory: CounterMemory,
     /// Whether the sub-100% stage switched to DMC-bitmap, and after how
-    /// many scanned rows. Parallel drivers report one global position at
-    /// any thread count, aligned to a block boundary of the scheduler.
+    /// many scanned rows.
     pub bitmap_switch_at: Option<usize>,
-    /// Per-worker phase times, credited tally shares and block-scheduling
-    /// counters. Empty for the sequential drivers; one entry per worker
-    /// for the parallel drivers.
-    pub workers: Vec<WorkerReport>,
     /// The machine-readable run report (same schema across all drivers).
     pub report: RunReport,
 }
@@ -97,176 +87,7 @@ pub(crate) fn find_implications_masked(
     config: &ImplicationConfig,
     lhs_mask: Option<&[bool]>,
 ) -> ImplicationOutput {
-    let started = std::time::Instant::now();
-    let mut timer = PhaseTimer::new();
-    let mut memory = if config.record_memory_history {
-        CounterMemory::with_history(4096)
-    } else {
-        CounterMemory::new()
-    };
-
-    // Step 1: pre-scan.
-    let (ones, order) = {
-        let _g = timer.enter("pre-scan");
-        (matrix.column_ones(), config.row_order.permutation(matrix))
-    };
-
-    let mut rules = Vec::new();
-    let mut bitmap_switch_at = None;
-    let mut report = ReportBuilder::new("implication", "in-memory", 0, config.minconf);
-    report.dims(matrix.n_rows(), matrix.n_cols());
-
-    // Step 2: exact rules through the simplified scan.
-    if config.hundred_stage || config.minconf >= 1.0 {
-        let _g = timer.enter("100% rules");
-        let hundred = run_hundred(
-            matrix,
-            &order,
-            &config.switch,
-            ones.clone(),
-            config.record_memory_history,
-            lhs_mask,
-        );
-        let tally = hundred.tally();
-        let (imp, _, mem) = hundred.into_parts();
-        report.hundred_stage(StageReport::new(
-            tally,
-            imp.len() as u64,
-            mem.peak_candidates(),
-        ));
-        rules.extend(imp);
-        memory.absorb_peak(&mem);
-    }
-
-    // Steps 3–4: sub-100% rules over columns that can tolerate misses.
-    if config.minconf < 1.0 {
-        let active: Option<Vec<bool>> = if config.hundred_stage {
-            Some(
-                ones.iter()
-                    .map(|&o| !only_exact_rules_conf(u64::from(o), config.minconf))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut scan = BaseScan::new(
-            matrix.n_cols(),
-            config.minconf,
-            ones,
-            active,
-            config.release_completed,
-            config.record_memory_history,
-        );
-        scan.lhs_mask = lhs_mask.map(<[bool]>::to_vec);
-        {
-            let _g = timer.enter("<100% rules");
-            bitmap_switch_at = scan_rows(matrix, &order, &config.switch, &mut scan);
-        }
-        if let Some(pos) = bitmap_switch_at {
-            let _g = timer.enter("bitmap tail");
-            let tail: Vec<&[ColumnId]> = order[pos..]
-                .iter()
-                .map(|&r| matrix.row(r as usize))
-                .collect();
-            finish_with_bitmaps(&mut scan, &tail);
-        }
-        let tally = scan.tally();
-        let (stage_rules, mem) = scan.into_parts();
-        // The exact stage already emitted every 0-miss rule (over all
-        // columns); keep only rules with at least one miss to avoid
-        // duplicates. Without the exact stage this scan is the sole source.
-        let before = rules.len();
-        if config.hundred_stage {
-            rules.extend(stage_rules.into_iter().filter(|r| r.misses() > 0));
-        } else {
-            rules.extend(stage_rules);
-        }
-        report.sub_stage(StageReport::new(
-            tally,
-            (rules.len() - before) as u64,
-            mem.peak_candidates(),
-        ));
-        memory.absorb_peak(&mem);
-    }
-
-    if config.emit_reverse {
-        let reversed: Vec<ImplicationRule> = rules
-            .iter()
-            .filter(|r| conf_qualifies(u64::from(r.hits), u64::from(r.rhs_ones), config.minconf))
-            .map(|r| r.reversed())
-            .collect();
-        report.reverse_rules(reversed.len() as u64);
-        rules.extend(reversed);
-    }
-
-    rules.sort_unstable();
-    rules.dedup();
-    let phases = timer.report();
-    report.wall(started.elapsed());
-    let report = report.finish(rules.len(), &phases, &memory, bitmap_switch_at);
-    ImplicationOutput {
-        rules,
-        phases,
-        memory,
-        bitmap_switch_at,
-        workers: Vec::new(),
-        report,
-    }
-}
-
-/// Runs the exact-rule scan over `order`, honoring the switch policy.
-fn run_hundred(
-    matrix: &SparseMatrix,
-    order: &[RowId],
-    switch: &crate::config::SwitchPolicy,
-    ones: Vec<u32>,
-    record_history: bool,
-    lhs_mask: Option<&[bool]>,
-) -> HundredScan {
-    let mut scan = HundredScan::with_history(
-        matrix.n_cols(),
-        HundredMode::Implication,
-        ones,
-        record_history,
-    );
-    if let Some(mask) = lhs_mask {
-        scan.set_lhs_mask(mask.to_vec());
-    }
-    for (pos, &r) in order.iter().enumerate() {
-        let remaining = order.len() - pos;
-        if switch.should_switch(remaining, scan.memory().current_bytes()) {
-            let tail: Vec<&[ColumnId]> = order[pos..]
-                .iter()
-                .map(|&r| matrix.row(r as usize))
-                .collect();
-            scan.finish_with_bitmaps(&tail);
-            return scan;
-        }
-        scan.process_row(matrix.row(r as usize));
-        scan.sample_memory(pos + 1);
-    }
-    scan.finish_with_bitmaps(&[]);
-    scan
-}
-
-/// Feeds rows to a [`BaseScan`] in `order`, stopping where the switch
-/// policy fires. Returns the switch position, if any; the caller runs the
-/// bitmap tail from there.
-fn scan_rows(
-    matrix: &SparseMatrix,
-    order: &[RowId],
-    switch: &crate::config::SwitchPolicy,
-    scan: &mut BaseScan,
-) -> Option<usize> {
-    for (pos, &r) in order.iter().enumerate() {
-        let remaining = order.len() - pos;
-        if switch.should_switch(remaining, scan.memory().current_bytes()) {
-            return Some(pos);
-        }
-        scan.process_row(matrix.row(r as usize));
-        scan.sample_memory(pos + 1);
-    }
-    None
+    crate::pipeline::mine_in_memory(matrix, config, lhs_mask)
 }
 
 #[cfg(test)]

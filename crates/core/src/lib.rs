@@ -23,8 +23,7 @@
 //!
 //! The [`Miner`] facade is the front door for one-shot mines: pick
 //! implications or similarities, set the knobs builder-style, then `mine`
-//! (in-memory) or `mine_streamed` (out-of-core); a thread count above one
-//! dispatches to the parallel drivers. Both return the unified
+//! (in-memory) or `mine_streamed` (out-of-core). Both return the unified
 //! [`MineError`].
 //!
 //! ```
@@ -56,9 +55,12 @@
 //!   low-memory DMC-bitmap tail phase.
 //! * [`find_similarities`] — DMC-sim (Algorithm 5.1): adds column-density
 //!   and maximum-hits pruning.
-//! * `find_*_parallel`, `find_*_streamed`, `find_*_streamed_parallel` —
-//!   the same mines over a work-assisting block scheduler and/or
-//!   disk-spilled row streams.
+//! * [`find_implications_streamed`], [`find_similarities_streamed`] — the
+//!   same mines over disk-spilled row streams.
+//!
+//! All of them run one staged pipeline (pre-scan, 100% stage, sub-100%
+//! scan, bitmap tail), written once for both measures and both row
+//! sources; rows reach it through a single sequential stage loop.
 //!
 //! # Observability
 //!
@@ -66,7 +68,7 @@
 //! counters (rows scanned, candidates admitted/deleted, misses counted,
 //! rules emitted), per-stage breakdowns, phase timings, memory peaks, the
 //! bitmap-switch position and spill bytes, all in one schema
-//! (`dmc.run_report.v7`) across the eight drivers. `RunReport::to_json`
+//! (`dmc.run_report.v8`) across the four drivers. `RunReport::to_json`
 //! serializes it; the `dmc` CLI exposes that as `--metrics`. The
 //! [`MinedOutput`] trait gives generic code one surface over both output
 //! types.
@@ -87,20 +89,18 @@ pub mod compact;
 mod config;
 mod engine;
 mod error;
-mod fanout;
 pub mod fxhash;
 pub mod groups;
 mod hundred;
 mod imp;
 mod miner;
 mod output;
-mod parallel;
+mod pipeline;
 mod rules;
 pub mod rules_io;
 pub mod shard;
 mod sim;
 pub mod stream;
-mod stream_parallel;
 pub mod threshold;
 pub mod validate;
 
@@ -109,15 +109,13 @@ pub use compact::{
     compact, compact_implications, compact_similarities, BoostedImplication, BoostedSimilarity,
     CompactedBase, CompactionConfig, BOOST_HIST_EDGES,
 };
-pub use config::{ImplicationConfig, SimilarityConfig, SwitchPolicy, DEFAULT_BLOCK_ROWS};
+pub use config::{ImplicationConfig, SimilarityConfig, SwitchPolicy};
 pub use engine::{Engine, IngestReport, MineConfig, RuleAnswer};
 pub use error::{ConfigError, MineError};
-pub use fanout::effective_workers;
 pub use groups::{rule_closure, rule_group_summaries, rule_groups, DisjointSets, GroupSummary};
 pub use imp::{find_implications, ImplicationOutput};
 pub use miner::{ImplicationMiner, Miner, SimilarityMiner};
 pub use output::MinedOutput;
-pub use parallel::{find_implications_parallel, find_similarities_parallel};
 pub use rules::{ImplicationRule, SimilarityRule};
 pub use rules_io::{read_rules, write_rules, RuleParseError};
 pub use shard::{
@@ -126,9 +124,6 @@ pub use shard::{
 };
 pub use sim::{find_similarities, SimilarityOutput};
 pub use stream::{find_implications_streamed, find_similarities_streamed, StreamError};
-pub use stream_parallel::{
-    find_implications_streamed_parallel, find_similarities_streamed_parallel,
-};
 pub use validate::{verify_implications, verify_similarities, RuleCheck};
 
 // Re-exports so downstream users need only this crate for common flows.
@@ -136,5 +131,5 @@ pub use dmc_matrix::spill_io::{RetryPolicy, SpillSettings};
 pub use dmc_matrix::{order::RowOrder, ColumnId, SparseMatrix};
 pub use dmc_metrics::{
     CompactionReport, IngestStats, IoReport, RunReport, ScanTally, ServeStats, StageReport,
-    WorkerReport, WorkerSummary, RUN_REPORT_SCHEMA,
+    WorkerSummary, RUN_REPORT_SCHEMA,
 };

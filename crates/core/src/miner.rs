@@ -1,13 +1,12 @@
-//! The [`Miner`] facade: one builder-style entry point over the eight
+//! The [`Miner`] facade: one builder-style entry point over the four
 //! `find_*` drivers.
 //!
-//! The crate grew four implication drivers and four similarity drivers
-//! (in-memory/streamed × sequential/parallel), each a free function with
-//! its own signature. [`Miner`] folds that choice into configuration: the
-//! *what* (implications vs similarities, threshold, knobs) is set on the
-//! builder, and the *how* (in-memory vs streamed, sequential vs parallel)
-//! falls out of which `run` method is called and the configured thread
-//! count.
+//! The crate has two implication drivers and two similarity drivers
+//! (in-memory and streamed), each a free function with its own
+//! signature. [`Miner`] folds that choice into configuration: the *what*
+//! (implications vs similarities, threshold, knobs) is set on the
+//! builder, and the *how* (in-memory vs streamed) falls out of which
+//! `mine` method is called.
 //!
 //! ```
 //! use dmc_core::{Miner, SparseMatrix};
@@ -18,53 +17,33 @@
 //! let out = Miner::implications(1.0).mine(&m).unwrap();
 //! assert_eq!(out.pairs(), vec![(2, 1)]);
 //!
-//! // Same mine, four workers over a row stream:
+//! // Same mine over a row stream, spilled to disk:
 //! let rows: Vec<Result<Vec<u32>, std::convert::Infallible>> =
 //!     vec![Ok(vec![1, 2]), Ok(vec![0, 1, 2]), Ok(vec![0]), Ok(vec![1])];
-//! let streamed = Miner::implications(1.0).threads(4).mine_streamed(rows, 3).unwrap();
+//! let streamed = Miner::implications(1.0).mine_streamed(rows, 3).unwrap();
 //! assert_eq!(streamed.pairs(), vec![(2, 1)]);
 //! ```
 //!
-//! Every driver produces the same rules for the same input (the parallel
-//! and streamed drivers are bit-identical to the sequential in-memory one
-//! under bucketed sparsest-first order), so switching execution strategy
-//! is purely an operational decision. The free `find_*` functions remain
-//! for backward compatibility; new code should prefer the facade — or,
-//! for long-lived use (incremental ingest, point queries), the
-//! [`Engine`](crate::Engine) the facade now fronts.
+//! Both drivers produce the same rules for the same input (the streamed
+//! driver is bit-identical to the in-memory one under bucketed
+//! sparsest-first order), so switching execution strategy is purely an
+//! operational decision. The free `find_*` functions remain for backward
+//! compatibility; new code should prefer the facade — or, for long-lived
+//! use (incremental ingest, point queries), the [`Engine`](crate::Engine).
 //!
 //! Both `mine` methods return [`MineError`], the unified error enum: the
 //! in-memory path never actually fails (its only possible error, a bad
 //! threshold, panics in the constructor instead), and the streamed path
-//! folds the old [`StreamError`] variants in. The previous `run` /
-//! `run_streamed` signatures survive as `#[deprecated]` wrappers.
+//! folds the [`StreamError`](crate::StreamError) variants in.
 
 use crate::config::{ImplicationConfig, SimilarityConfig, SwitchPolicy};
-use crate::engine::{dispatch_implications, dispatch_similarities};
 use crate::error::MineError;
-use crate::imp::ImplicationOutput;
-use crate::sim::SimilarityOutput;
-use crate::stream::{find_implications_streamed, find_similarities_streamed, StreamError};
-use crate::stream_parallel::{
-    find_implications_streamed_parallel, find_similarities_streamed_parallel,
-};
+use crate::imp::{find_implications, ImplicationOutput};
+use crate::sim::{find_similarities, SimilarityOutput};
+use crate::stream::{find_implications_streamed, find_similarities_streamed};
 use dmc_matrix::order::RowOrder;
 use dmc_matrix::spill_io::SpillSettings;
 use dmc_matrix::{ColumnId, SparseMatrix};
-
-/// Converts the unified error back to the legacy stream error for the
-/// deprecated `run_streamed` wrappers. `Config` cannot occur on the
-/// facade path (the constructors panic on bad thresholds before a run
-/// exists).
-fn to_stream_error<E>(e: MineError<E>) -> StreamError<E> {
-    match e {
-        MineError::Config(e) => unreachable!("facade constructors validate thresholds: {e}"),
-        MineError::Source(e) => StreamError::Source(e),
-        MineError::Io { context, error } => StreamError::Io { context, error },
-        MineError::CorruptSpill { frame, reason } => StreamError::CorruptSpill { frame, reason },
-        MineError::ColumnOutOfRange { row, id } => StreamError::ColumnOutOfRange { row, id },
-    }
-}
 
 /// Entry point of the facade; see the [module docs](self).
 pub struct Miner;
@@ -79,7 +58,6 @@ impl Miner {
     pub fn implications(minconf: f64) -> ImplicationMiner {
         ImplicationMiner {
             config: ImplicationConfig::new(minconf),
-            threads: 1,
         }
     }
 
@@ -92,7 +70,6 @@ impl Miner {
     pub fn similarities(minsim: f64) -> SimilarityMiner {
         SimilarityMiner {
             config: SimilarityConfig::new(minsim),
-            threads: 1,
         }
     }
 }
@@ -101,20 +78,15 @@ impl Miner {
 #[derive(Clone, Debug)]
 pub struct ImplicationMiner {
     config: ImplicationConfig,
-    threads: usize,
 }
 
 impl ImplicationMiner {
-    /// Worker count. The request is resolved through
-    /// [`effective_workers`](crate::effective_workers) at run time: it is
-    /// capped at the host's available parallelism (lift the cap with
-    /// `DMC_SCHED_OVERSUBSCRIBE=1`), and when the resolved count is `0` or
-    /// `1` the sequential drivers run; otherwise the work-assisting
-    /// block-scheduler drivers run with that many workers. Rules are
-    /// bit-identical either way.
+    /// Formerly the worker count of the block scheduler, which lost to
+    /// one worker on every measured workload and was removed. Every mine
+    /// is sequential; the request is ignored.
+    #[deprecated(since = "0.1.0", note = "every mine is sequential; this is a no-op")]
     #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -155,7 +127,7 @@ impl ImplicationMiner {
     }
 
     /// Spill I/O settings for streamed runs (backend, retry policy,
-    /// directory). Ignored by `run`.
+    /// directory). Ignored by `mine`.
     #[must_use]
     pub fn spill(mut self, spill: SpillSettings) -> Self {
         self.config.spill = spill;
@@ -184,7 +156,7 @@ impl ImplicationMiner {
     /// uniform with [`mine_streamed`](Self::mine_streamed) so generic
     /// callers handle one error type.
     pub fn mine(&self, matrix: &SparseMatrix) -> Result<ImplicationOutput, MineError> {
-        Ok(dispatch_implications(matrix, &self.config, self.threads))
+        Ok(find_implications(matrix, &self.config))
     }
 
     /// Mines a fallible row stream out-of-core (two passes, §4.1 density
@@ -201,47 +173,8 @@ impl ImplicationMiner {
     ) -> Result<ImplicationOutput, MineError<E>>
     where
         I: IntoIterator<Item = Result<Vec<ColumnId>, E>>,
-        E: Send,
     {
-        let workers = crate::fanout::effective_workers(self.threads);
-        let out = if workers <= 1 {
-            find_implications_streamed(rows, n_cols, &self.config)
-        } else {
-            find_implications_streamed_parallel(rows, n_cols, &self.config, workers)
-        };
-        out.map_err(MineError::from)
-    }
-
-    /// Mines an in-memory matrix.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mine`, which reports the unified `MineError`"
-    )]
-    #[must_use]
-    pub fn run(&self, matrix: &SparseMatrix) -> ImplicationOutput {
-        self.mine(matrix).expect("in-memory mines are infallible")
-    }
-
-    /// Mines a fallible row stream out-of-core.
-    ///
-    /// # Errors
-    ///
-    /// Fails on source errors, spill IO errors, or out-of-range column
-    /// ids.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mine_streamed`, which reports the unified `MineError`"
-    )]
-    pub fn run_streamed<I, E>(
-        &self,
-        rows: I,
-        n_cols: usize,
-    ) -> Result<ImplicationOutput, StreamError<E>>
-    where
-        I: IntoIterator<Item = Result<Vec<ColumnId>, E>>,
-        E: Send,
-    {
-        self.mine_streamed(rows, n_cols).map_err(to_stream_error)
+        find_implications_streamed(rows, n_cols, &self.config).map_err(MineError::from)
     }
 }
 
@@ -249,17 +182,14 @@ impl ImplicationMiner {
 #[derive(Clone, Debug)]
 pub struct SimilarityMiner {
     config: SimilarityConfig,
-    threads: usize,
 }
 
 impl SimilarityMiner {
-    /// Worker count; see [`ImplicationMiner::threads`] — the request is
-    /// resolved through [`effective_workers`](crate::effective_workers)
-    /// at run time, and a resolved count of `0` or `1` runs the
-    /// sequential drivers.
+    /// Formerly the worker count; see [`ImplicationMiner::threads`]. The
+    /// request is ignored.
+    #[deprecated(since = "0.1.0", note = "every mine is sequential; this is a no-op")]
     #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -300,7 +230,7 @@ impl SimilarityMiner {
     }
 
     /// Spill I/O settings for streamed runs (backend, retry policy,
-    /// directory). Ignored by `run`.
+    /// directory). Ignored by `mine`.
     #[must_use]
     pub fn spill(mut self, spill: SpillSettings) -> Self {
         self.config.spill = spill;
@@ -326,7 +256,7 @@ impl SimilarityMiner {
     ///
     /// Never fails today; see [`ImplicationMiner::mine`].
     pub fn mine(&self, matrix: &SparseMatrix) -> Result<SimilarityOutput, MineError> {
-        Ok(dispatch_similarities(matrix, &self.config, self.threads))
+        Ok(find_similarities(matrix, &self.config))
     }
 
     /// Mines a fallible row stream out-of-core (see
@@ -343,47 +273,8 @@ impl SimilarityMiner {
     ) -> Result<SimilarityOutput, MineError<E>>
     where
         I: IntoIterator<Item = Result<Vec<ColumnId>, E>>,
-        E: Send,
     {
-        let workers = crate::fanout::effective_workers(self.threads);
-        let out = if workers <= 1 {
-            find_similarities_streamed(rows, n_cols, &self.config)
-        } else {
-            find_similarities_streamed_parallel(rows, n_cols, &self.config, workers)
-        };
-        out.map_err(MineError::from)
-    }
-
-    /// Mines an in-memory matrix.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mine`, which reports the unified `MineError`"
-    )]
-    #[must_use]
-    pub fn run(&self, matrix: &SparseMatrix) -> SimilarityOutput {
-        self.mine(matrix).expect("in-memory mines are infallible")
-    }
-
-    /// Mines a fallible row stream out-of-core.
-    ///
-    /// # Errors
-    ///
-    /// Fails on source errors, spill IO errors, or out-of-range column
-    /// ids.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mine_streamed`, which reports the unified `MineError`"
-    )]
-    pub fn run_streamed<I, E>(
-        &self,
-        rows: I,
-        n_cols: usize,
-    ) -> Result<SimilarityOutput, StreamError<E>>
-    where
-        I: IntoIterator<Item = Result<Vec<ColumnId>, E>>,
-        E: Send,
-    {
-        self.mine_streamed(rows, n_cols).map_err(to_stream_error)
+        find_similarities_streamed(rows, n_cols, &self.config).map_err(MineError::from)
     }
 }
 
@@ -393,11 +284,6 @@ mod tests {
     use crate::imp::find_implications;
     use crate::sim::find_similarities;
     use std::convert::Infallible;
-
-    /// Serializes the tests that read or write `DMC_SCHED_OVERSUBSCRIBE`:
-    /// the variable is process-global and the harness runs tests
-    /// concurrently.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn fig2() -> SparseMatrix {
         SparseMatrix::from_rows(
@@ -422,36 +308,18 @@ mod tests {
 
     #[test]
     fn facade_matches_free_functions_across_all_strategies() {
-        // Force the requested counts through on any host: without this,
-        // `effective_workers` caps at the core count and a single-core CI
-        // box would dispatch every run to the sequential drivers.
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DMC_SCHED_OVERSUBSCRIBE", "1");
         let m = fig2();
         let expected = find_implications(&m, &ImplicationConfig::new(0.8));
 
-        let seq = Miner::implications(0.8).mine(&m).unwrap();
-        assert_eq!(seq.rules, expected.rules);
-        assert!(
-            seq.workers.is_empty(),
-            "threads<=1 is the sequential driver"
-        );
-
-        let par = Miner::implications(0.8).threads(4).mine(&m).unwrap();
-        assert_eq!(par.rules, expected.rules);
-        assert_eq!(par.workers.len(), 4);
+        let in_memory = Miner::implications(0.8).mine(&m).unwrap();
+        assert_eq!(in_memory.rules, expected.rules);
+        assert_eq!(in_memory.report.mode, "in-memory");
 
         let streamed = Miner::implications(0.8)
             .mine_streamed(rows_of(&m), m.n_cols())
             .unwrap();
         assert_eq!(streamed.rules, expected.rules);
-
-        let streamed_par = Miner::implications(0.8)
-            .threads(3)
-            .mine_streamed(rows_of(&m), m.n_cols())
-            .unwrap();
-        assert_eq!(streamed_par.rules, expected.rules);
-        assert_eq!(streamed_par.workers.len(), 3);
+        assert_eq!(streamed.report.mode, "streamed");
     }
 
     #[test]
@@ -464,19 +332,7 @@ mod tests {
             expected.rules
         );
         assert_eq!(
-            Miner::similarities(0.4).threads(2).mine(&m).unwrap().rules,
-            expected.rules
-        );
-        assert_eq!(
             Miner::similarities(0.4)
-                .mine_streamed(rows_of(&m), m.n_cols())
-                .unwrap()
-                .rules,
-            expected.rules
-        );
-        assert_eq!(
-            Miner::similarities(0.4)
-                .threads(2)
                 .mine_streamed(rows_of(&m), m.n_cols())
                 .unwrap()
                 .rules,
@@ -502,42 +358,23 @@ mod tests {
     #[allow(deprecated)]
     fn deprecated_wrappers_still_mine_identically() {
         let m = fig2();
-        // Each deprecated wrapper must byte-match its replacement on the
-        // serialized rule set.
+        // The deprecated `threads` knob is a no-op: every request must
+        // byte-match the plain mine, in memory and streamed.
         let expected = imp_bytes(&Miner::implications(0.8).mine(&m).unwrap().rules);
-        assert_eq!(imp_bytes(&Miner::implications(0.8).run(&m).rules), expected);
-        let expected_streamed = imp_bytes(
-            &Miner::implications(0.8)
-                .mine_streamed(rows_of(&m), m.n_cols())
-                .unwrap()
-                .rules,
-        );
-        assert_eq!(
-            imp_bytes(
-                &Miner::implications(0.8)
-                    .run_streamed(rows_of(&m), m.n_cols())
-                    .unwrap()
-                    .rules
-            ),
-            expected_streamed
-        );
-        assert_eq!(
-            expected, expected_streamed,
-            "in-memory and streamed agree on fig2"
-        );
+        for n in [0, 1, 4] {
+            let miner = Miner::implications(0.8).threads(n);
+            assert_eq!(imp_bytes(&miner.mine(&m).unwrap().rules), expected);
+            let streamed = miner.mine_streamed(rows_of(&m), m.n_cols()).unwrap();
+            assert_eq!(imp_bytes(&streamed.rules), expected, "threads({n})");
+        }
 
         let expected = sim_bytes(&Miner::similarities(0.4).mine(&m).unwrap().rules);
-        assert_eq!(sim_bytes(&Miner::similarities(0.4).run(&m).rules), expected);
-        assert_eq!(
-            sim_bytes(
-                &Miner::similarities(0.4)
-                    .run_streamed(rows_of(&m), m.n_cols())
-                    .unwrap()
-                    .rules
-            ),
-            expected,
-            "deprecated sim run_streamed byte-matches mine_streamed"
-        );
+        for n in [0, 1, 4] {
+            let miner = Miner::similarities(0.4).threads(n);
+            assert_eq!(sim_bytes(&miner.mine(&m).unwrap().rules), expected);
+            let streamed = miner.mine_streamed(rows_of(&m), m.n_cols()).unwrap();
+            assert_eq!(sim_bytes(&streamed.rules), expected, "threads({n})");
+        }
     }
 
     #[test]
@@ -571,29 +408,12 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn zero_threads_means_sequential() {
         let m = fig2();
         let out = Miner::implications(0.8).threads(0).mine(&m).unwrap();
-        assert!(out.workers.is_empty());
-    }
-
-    #[test]
-    fn thread_request_is_capped_at_host_cores() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("DMC_SCHED_OVERSUBSCRIBE");
-        let m = fig2();
-        let resolved = crate::fanout::effective_workers(64);
-        let out = Miner::implications(0.8).threads(64).mine(&m).unwrap();
-        if resolved > 1 {
-            assert_eq!(out.workers.len(), resolved);
-        } else {
-            assert!(out.workers.is_empty(), "capped to 1 → sequential driver");
-        }
-        assert_eq!(
-            out.rules,
-            find_implications(&m, &ImplicationConfig::new(0.8)).rules,
-            "the cap never changes the rules"
-        );
+        assert_eq!(out.report.threads, 0);
+        assert!(out.report.workers.is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub trait MinedOutput {
     /// All qualifying rules in canonical sorted order.
     fn rules(&self) -> &[Self::Rule];
 
-    /// The structured run report (same schema across all eight drivers).
+    /// The structured run report (same schema across all four drivers).
     fn report(&self) -> &RunReport;
 
     /// The rules' column pairs, in rule order.

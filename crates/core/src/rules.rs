@@ -9,7 +9,6 @@ use std::fmt;
 /// confidence meets the configured threshold, but the counts are kept so
 /// downstream consumers can re-rank or re-filter without another scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImplicationRule {
     pub lhs: ColumnId,
     pub rhs: ColumnId,
@@ -68,7 +67,6 @@ impl fmt::Display for ImplicationRule {
 /// A similarity rule `a ≃ b` with its exact counts. Stored with
 /// `a < b` canonically (fewer ones first, ties by id).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimilarityRule {
     pub a: ColumnId,
     pub b: ColumnId,

@@ -22,17 +22,13 @@
 //! ([`crate::hundred`]); this module's scan finds the sub-100% pairs.
 
 use crate::candidates::{ColumnLists, SimCandidate};
-use crate::config::{SimilarityConfig, SwitchPolicy};
+use crate::config::SimilarityConfig;
 use crate::fxhash::FxHashMap;
-use crate::hundred::{HundredMode, HundredScan};
 use crate::rules::SimilarityRule;
-use crate::threshold::{max_misses_sim, only_exact_rules_sim, sim_qualifies};
+use crate::threshold::{max_misses_sim, sim_qualifies};
 use dmc_bitset::BitMatrix;
-use dmc_matrix::{canonical_less, ColumnId, RowId, SparseMatrix};
-use dmc_metrics::{
-    CounterMemory, PhaseReport, PhaseTimer, ReportBuilder, RunReport, ScanTally, StageReport,
-    WorkerReport,
-};
+use dmc_matrix::{canonical_less, ColumnId, SparseMatrix};
+use dmc_metrics::{CounterMemory, PhaseReport, RunReport, ScanTally};
 
 /// Result of [`find_similarities`].
 #[derive(Debug)]
@@ -45,13 +41,8 @@ pub struct SimilarityOutput {
     /// Counter-array accounting across all stages.
     pub memory: CounterMemory,
     /// Whether the sub-100% stage switched to DMC-bitmap, and after how
-    /// many scanned rows. Parallel drivers report one global position at
-    /// any thread count, aligned to a block boundary of the scheduler.
+    /// many scanned rows.
     pub bitmap_switch_at: Option<usize>,
-    /// Per-worker phase times, credited tally shares and block-scheduling
-    /// counters. Empty for the sequential drivers; one entry per worker
-    /// for the parallel drivers.
-    pub workers: Vec<WorkerReport>,
     /// The machine-readable run report (same schema across all drivers).
     pub report: RunReport,
 }
@@ -107,134 +98,7 @@ pub(crate) fn find_similarities_masked(
     config: &SimilarityConfig,
     lhs_mask: Option<&[bool]>,
 ) -> SimilarityOutput {
-    let started = std::time::Instant::now();
-    let mut timer = PhaseTimer::new();
-    let mut memory = if config.record_memory_history {
-        CounterMemory::with_history(4096)
-    } else {
-        CounterMemory::new()
-    };
-
-    let (ones, order) = {
-        let _g = timer.enter("pre-scan");
-        (matrix.column_ones(), config.row_order.permutation(matrix))
-    };
-
-    let mut rules = Vec::new();
-    let mut bitmap_switch_at = None;
-    let mut report = ReportBuilder::new("similarity", "in-memory", 0, config.minsim);
-    report.dims(matrix.n_rows(), matrix.n_cols());
-
-    // Step 2: identical (100%-similar) columns.
-    if config.hundred_stage || config.minsim >= 1.0 {
-        let _g = timer.enter("100% rules");
-        let mut scan = HundredScan::new(matrix.n_cols(), HundredMode::Identical, ones.clone());
-        if let Some(mask) = lhs_mask {
-            scan.set_lhs_mask(mask.to_vec());
-        }
-        let mut switched = false;
-        for (pos, &r) in order.iter().enumerate() {
-            let remaining = order.len() - pos;
-            if config
-                .switch
-                .should_switch(remaining, scan.memory().current_bytes())
-            {
-                let tail: Vec<&[ColumnId]> = order[pos..]
-                    .iter()
-                    .map(|&r| matrix.row(r as usize))
-                    .collect();
-                scan.finish_with_bitmaps(&tail);
-                switched = true;
-                break;
-            }
-            scan.process_row(matrix.row(r as usize));
-        }
-        if !switched {
-            scan.finish_with_bitmaps(&[]);
-        }
-        let tally = scan.tally();
-        let (_, sims, mem) = scan.into_parts();
-        report.hundred_stage(StageReport::new(
-            tally,
-            sims.len() as u64,
-            mem.peak_candidates(),
-        ));
-        rules.extend(sims);
-        memory.absorb_peak(&mem);
-    }
-
-    // Steps 3–4: sub-100% pairs over columns that can reach minsim with at
-    // least one disagreement.
-    if config.minsim < 1.0 {
-        let active: Option<Vec<bool>> = if config.hundred_stage {
-            Some(
-                ones.iter()
-                    .map(|&o| !only_exact_rules_sim(u64::from(o), config.minsim))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut scan = SimScan::new(matrix.n_cols(), config, ones, active);
-        scan.lhs_mask = lhs_mask.map(<[bool]>::to_vec);
-        {
-            let _g = timer.enter("<100% rules");
-            bitmap_switch_at = scan_rows_sim(matrix, &order, &config.switch, &mut scan);
-        }
-        if let Some(pos) = bitmap_switch_at {
-            let _g = timer.enter("bitmap tail");
-            let tail: Vec<&[ColumnId]> = order[pos..]
-                .iter()
-                .map(|&r| matrix.row(r as usize))
-                .collect();
-            scan.finish_with_bitmaps(&tail);
-        }
-        let tally = scan.tally();
-        let (stage_rules, mem) = scan.into_parts();
-        let before = rules.len();
-        if config.hundred_stage {
-            rules.extend(stage_rules.into_iter().filter(|r| r.hits < r.union()));
-        } else {
-            rules.extend(stage_rules);
-        }
-        report.sub_stage(StageReport::new(
-            tally,
-            (rules.len() - before) as u64,
-            mem.peak_candidates(),
-        ));
-        memory.absorb_peak(&mem);
-    }
-
-    rules.sort_unstable();
-    rules.dedup();
-    let phases = timer.report();
-    report.wall(started.elapsed());
-    let report = report.finish(rules.len(), &phases, &memory, bitmap_switch_at);
-    SimilarityOutput {
-        rules,
-        phases,
-        memory,
-        bitmap_switch_at,
-        workers: Vec::new(),
-        report,
-    }
-}
-
-fn scan_rows_sim(
-    matrix: &SparseMatrix,
-    order: &[RowId],
-    switch: &SwitchPolicy,
-    scan: &mut SimScan,
-) -> Option<usize> {
-    for (pos, &r) in order.iter().enumerate() {
-        let remaining = order.len() - pos;
-        if switch.should_switch(remaining, scan.mem.current_bytes()) {
-            return Some(pos);
-        }
-        scan.process_row(matrix.row(r as usize));
-        scan.mem.sample(pos + 1);
-    }
-    None
+    crate::pipeline::mine_in_memory(matrix, config, lhs_mask)
 }
 
 /// The sub-100% similarity scan state.
@@ -251,9 +115,9 @@ pub(crate) struct SimScan {
     lists: ColumnLists<SimCandidate>,
     active: Vec<bool>,
     /// Optional additional LHS restriction (columns outside it still count
-    /// and serve as RHS) — used by [`SimScan::apply_block`] to replay a
-    /// block only for the columns whose lists were open at block start.
-    lhs_mask: Option<Vec<bool>>,
+    /// and serve as RHS) — installed by the shard workers so one shard
+    /// owns exactly the rules of its LHS-column range.
+    pub(crate) lhs_mask: Option<Vec<bool>>,
     done: Vec<bool>,
     rules: Vec<SimilarityRule>,
     pub(crate) mem: CounterMemory,
@@ -365,10 +229,9 @@ impl SimScan {
             }
         }
         // `cnt` advances for every active column — the §5.2 bound reads the
-        // RHS column's remaining count even when that column's own list is
-        // excluded from this replay. Completion, however, is deferred for
-        // masked-out columns: their lists still carry pre-block miss counts
-        // that [`SimScan::apply_block`] folds in afterwards.
+        // RHS column's remaining count even when that column does not own
+        // rules in this scan. Masked-out columns never complete: they own
+        // no list and emit no rules.
         for &j in row {
             let ji = j as usize;
             if !self.active[ji] || self.done[ji] || self.ones[ji] == 0 {
@@ -378,89 +241,6 @@ impl SimScan {
             if self.cnt[ji] == self.ones[ji] && self.lhs_mask.as_ref().is_none_or(|m| m[ji]) {
                 self.complete_column(j);
             }
-        }
-    }
-
-    /// Applies one scheduler block (see [`crate::base::BaseScan::apply_block`]).
-    ///
-    /// Open columns (`cnt ≤ admit_limit`) replay the rows exactly; closed
-    /// columns fold their block misses word-batched from `bm` and re-run
-    /// the §5.2 bound at the block boundary. The emitted rule set is
-    /// identical to row-by-row processing; `misses_counted` may be lower
-    /// (a boundary deletion can pre-empt the miss sequential counting
-    /// would still charge at the candidate's next row), deterministically
-    /// so for a fixed block size.
-    pub(crate) fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &BitMatrix) {
-        let m = self.ones.len();
-        let saved = self.lhs_mask.take();
-        let open: Vec<bool> = (0..m)
-            .map(|ji| {
-                self.active[ji]
-                    && !self.done[ji]
-                    && saved.as_ref().is_none_or(|s| s[ji])
-                    && self.cnt[ji] <= self.admit_limit[ji]
-            })
-            .collect();
-        self.lhs_mask = Some(open);
-        for row in rows {
-            self.process_row(row);
-        }
-        let open = std::mem::replace(&mut self.lhs_mask, saved).expect("mask was just installed");
-        for (ji, &is_open) in open.iter().enumerate() {
-            let j = ji as ColumnId;
-            if is_open || !self.is_lhs(j) || self.ones[ji] == 0 {
-                continue;
-            }
-            if bm.get(j).is_none() {
-                // No row of this block carries `j`: no misses, no counter
-                // movement — the sequential scan would not touch the list.
-                continue;
-            }
-            self.fold_closed(j, bm);
-        }
-    }
-
-    /// Folds one block into a closed column: word-batched miss counting,
-    /// budget and §5.2 checks at the boundary, then the completion the
-    /// masked replay deferred.
-    fn fold_closed(&mut self, j: ColumnId, bm: &BitMatrix) {
-        let ji = j as usize;
-        if let Some(mut list) = self.lists.take(j) {
-            let before = list.len();
-            let mut write = 0;
-            for read in 0..list.len() {
-                let mut c = list[read];
-                let block_miss = bm.miss_count(j, c.col) as u32;
-                if block_miss > 0 {
-                    // The sequential scan stops counting at the miss that
-                    // exhausts the pair's budget.
-                    let applied = block_miss.min(c.budget + 1 - c.miss);
-                    c.miss += applied;
-                    self.tally.miss(applied as usize);
-                    if c.miss > c.budget {
-                        self.tally.delete(1);
-                        continue;
-                    }
-                }
-                // §5.2 at the boundary: `cnt` is already block-final, so ĥ
-                // here is at most the minimum over the per-row snapshots.
-                if !self.max_hits_viable(j, c.col, c.miss) {
-                    self.tally.delete(1);
-                    continue;
-                }
-                list[write] = c;
-                write += 1;
-            }
-            list.truncate(write);
-            self.mem.remove_candidates(before - write);
-            if list.is_empty() {
-                self.mem.remove_list();
-            } else {
-                self.lists.put_back(j, list);
-            }
-        }
-        if self.cnt[ji] == self.ones[ji] {
-            self.complete_column(j);
         }
     }
 
@@ -709,6 +489,7 @@ impl SimScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SwitchPolicy;
     use dmc_matrix::order::RowOrder;
 
     /// Figure 5 / Example 5.1: columns c1 (4 ones) and c2 (5 ones) with a
@@ -864,44 +645,6 @@ mod tests {
     /// at every block size (misses_counted may legitimately differ — a
     /// boundary §5.2 deletion pre-empts later sequential misses — but the
     /// admitted/deleted/emitted balance must match).
-    #[test]
-    fn apply_block_matches_row_by_row() {
-        let m = fig_mixed();
-        let rows: Vec<Vec<ColumnId>> = m.rows().map(<[ColumnId]>::to_vec).collect();
-        for &minsim in &[0.9, 0.75, 0.5, 0.3] {
-            let cfg = SimilarityConfig::new(minsim);
-            let mut seq = SimScan::new(m.n_cols(), &cfg, m.column_ones(), None);
-            for row in m.rows() {
-                seq.process_row(row);
-            }
-            for block in 1..=m.n_rows() {
-                let mut blk = SimScan::new(m.n_cols(), &cfg, m.column_ones(), None);
-                for chunk in rows.chunks(block) {
-                    let mut bm = BitMatrix::new(chunk.len());
-                    for (t, row) in chunk.iter().enumerate() {
-                        for &c in row {
-                            bm.set(c, t);
-                        }
-                    }
-                    blk.apply_block(chunk, &bm);
-                }
-                blk.finish_with_bitmaps(&[]);
-                let mut expected = seq.rules.clone();
-                expected.sort_unstable();
-                let mut got = blk.rules.clone();
-                got.sort_unstable();
-                assert_eq!(got, expected, "minsim={minsim} block={block}");
-                let (s, b) = (seq.tally(), blk.tally());
-                assert_eq!(
-                    (s.candidates_admitted, s.candidates_deleted, s.rules_emitted),
-                    (b.candidates_admitted, b.candidates_deleted, b.rules_emitted),
-                    "minsim={minsim} block={block}"
-                );
-                assert_eq!(blk.cnt, seq.cnt, "minsim={minsim} block={block}");
-            }
-        }
-    }
-
     #[test]
     fn density_pruning_blocks_lopsided_pairs() {
         // c0 ⊂ c1 with |S_0| = 2, |S_1| = 8: containment sim = 0.25.

@@ -15,17 +15,13 @@
 //! spill files encode); other [`crate::RowOrder`]s require an in-memory
 //! matrix.
 
-use crate::base::BaseScan;
-use crate::bitmap::finish_with_bitmaps;
 use crate::config::{ImplicationConfig, SimilarityConfig};
-use crate::hundred::{HundredMode, HundredScan};
 use crate::imp::ImplicationOutput;
-use crate::sim::{SimScan, SimilarityOutput};
-use crate::threshold::{conf_qualifies, only_exact_rules_conf, only_exact_rules_sim};
+use crate::sim::SimilarityOutput;
 use dmc_matrix::spill::{BucketSpill, SpillReadError};
 use dmc_matrix::spill_io::{SpillIoSnapshot, SpillSettings};
 use dmc_matrix::ColumnId;
-use dmc_metrics::{CounterMemory, IoReport, PhaseTimer, ReportBuilder, StageReport};
+use dmc_metrics::IoReport;
 use std::io;
 
 /// Errors from the streaming drivers.
@@ -153,112 +149,6 @@ where
     Ok((ones, spill))
 }
 
-/// One scan's hooks for the spill replay: the switch policy reads the
-/// counter footprint, rows feed the scan, and the tail finishes it. Shared
-/// by the sequential replay below and the parallel block scheduler
-/// (`crate::fanout`), which additionally folds pre-aggregated row blocks
-/// through [`ReplayHandler::apply_block`] and partitions the scan's tally
-/// into per-worker credits via [`ReplayHandler::tally`] snapshots.
-pub(crate) trait ReplayHandler {
-    fn counter_bytes(&self) -> usize;
-    fn row(&mut self, row: &[ColumnId]);
-    fn tail(&mut self, tail: &[&[ColumnId]]);
-    /// Applies one block of rows plus its column bitmaps, producing the
-    /// same state as feeding the rows through [`ReplayHandler::row`].
-    fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &dmc_bitset::BitMatrix);
-    /// Snapshot of the scan's event counters.
-    fn tally(&self) -> dmc_metrics::ScanTally;
-}
-
-/// Replays the spill through a [`ReplayHandler`], honoring the switch
-/// policy. Returns the switch position, if any.
-fn replay_with_switch<E, H: ReplayHandler>(
-    spill: &mut BucketSpill,
-    total_rows: usize,
-    switch: crate::config::SwitchPolicy,
-    handler: &mut H,
-) -> Result<Option<usize>, StreamError<E>> {
-    let mut replay = spill.replay()?;
-    let mut pos = 0usize;
-    loop {
-        let remaining = total_rows - pos;
-        if switch.should_switch(remaining, handler.counter_bytes()) {
-            // Materialize the tail (bounded by the policy's max_tail_rows).
-            let mut tail_rows: Vec<Vec<ColumnId>> = Vec::with_capacity(remaining);
-            for row in replay {
-                tail_rows.push(row?);
-            }
-            let tail: Vec<&[ColumnId]> = tail_rows.iter().map(Vec::as_slice).collect();
-            handler.tail(&tail);
-            return Ok(Some(pos));
-        }
-        match replay.next() {
-            Some(row) => {
-                handler.row(&row?);
-                pos += 1;
-            }
-            None => {
-                handler.tail(&[]);
-                return Ok(None);
-            }
-        }
-    }
-}
-
-impl ReplayHandler for HundredScan {
-    fn counter_bytes(&self) -> usize {
-        self.memory().current_bytes()
-    }
-    fn row(&mut self, row: &[ColumnId]) {
-        self.process_row(row);
-    }
-    fn tail(&mut self, tail: &[&[ColumnId]]) {
-        self.finish_with_bitmaps(tail);
-    }
-    fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &dmc_bitset::BitMatrix) {
-        self.apply_block(rows, bm);
-    }
-    fn tally(&self) -> dmc_metrics::ScanTally {
-        self.tally()
-    }
-}
-
-impl ReplayHandler for BaseScan {
-    fn counter_bytes(&self) -> usize {
-        self.memory().current_bytes()
-    }
-    fn row(&mut self, row: &[ColumnId]) {
-        self.process_row(row);
-    }
-    fn tail(&mut self, tail: &[&[ColumnId]]) {
-        finish_with_bitmaps(self, tail);
-    }
-    fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &dmc_bitset::BitMatrix) {
-        self.apply_block(rows, bm);
-    }
-    fn tally(&self) -> dmc_metrics::ScanTally {
-        self.tally()
-    }
-}
-
-impl ReplayHandler for SimScan {
-    fn counter_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-    fn row(&mut self, row: &[ColumnId]) {
-        self.process_row(row);
-    }
-    fn tail(&mut self, tail: &[&[ColumnId]]) {
-        self.finish_with_bitmaps(tail);
-    }
-    fn apply_block(&mut self, rows: &[Vec<ColumnId>], bm: &dmc_bitset::BitMatrix) {
-        self.apply_block(rows, bm);
-    }
-    fn tally(&self) -> dmc_metrics::ScanTally {
-        self.tally()
-    }
-}
-
 /// Streaming DMC-imp over a fallible row iterator.
 ///
 /// Equivalent to [`crate::find_implications`] with
@@ -279,98 +169,7 @@ pub fn find_implications_streamed<I, E>(
 where
     I: IntoIterator<Item = Result<Vec<ColumnId>, E>>,
 {
-    let started = std::time::Instant::now();
-    let mut timer = PhaseTimer::new();
-    let (ones, mut spill) = {
-        let _g = timer.enter("pre-scan");
-        prescan(rows, n_cols, &config.spill)?
-    };
-    let total_rows = spill.rows();
-    let mut report = ReportBuilder::new("implication", "streamed", 0, config.minconf);
-    report.dims(total_rows, n_cols);
-    report.spill_bytes(spill.bytes());
-
-    let mut rules = Vec::new();
-    let mut memory = CounterMemory::new();
-    let mut bitmap_switch_at = None;
-
-    if config.hundred_stage || config.minconf >= 1.0 {
-        let _g = timer.enter("100% rules");
-        let mut scan = HundredScan::new(n_cols, HundredMode::Implication, ones.clone());
-        replay_with_switch(&mut spill, total_rows, config.switch, &mut scan)?;
-        let tally = scan.tally();
-        let (imp, _, mem) = scan.into_parts();
-        report.hundred_stage(StageReport::new(
-            tally,
-            imp.len() as u64,
-            mem.peak_candidates(),
-        ));
-        rules.extend(imp);
-        memory.absorb_peak(&mem);
-    }
-
-    if config.minconf < 1.0 {
-        let active: Option<Vec<bool>> = if config.hundred_stage {
-            Some(
-                ones.iter()
-                    .map(|&o| !only_exact_rules_conf(u64::from(o), config.minconf))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut scan = BaseScan::new(
-            n_cols,
-            config.minconf,
-            ones,
-            active,
-            config.release_completed,
-            false,
-        );
-        {
-            let _g = timer.enter("<100% rules");
-            bitmap_switch_at =
-                replay_with_switch(&mut spill, total_rows, config.switch, &mut scan)?;
-        }
-        let tally = scan.tally();
-        let (stage_rules, mem) = scan.into_parts();
-        let before = rules.len();
-        if config.hundred_stage {
-            rules.extend(stage_rules.into_iter().filter(|r| r.misses() > 0));
-        } else {
-            rules.extend(stage_rules);
-        }
-        report.sub_stage(StageReport::new(
-            tally,
-            (rules.len() - before) as u64,
-            mem.peak_candidates(),
-        ));
-        memory.absorb_peak(&mem);
-    }
-
-    if config.emit_reverse {
-        let reversed: Vec<_> = rules
-            .iter()
-            .filter(|r| conf_qualifies(u64::from(r.hits), u64::from(r.rhs_ones), config.minconf))
-            .map(|r| r.reversed())
-            .collect();
-        report.reverse_rules(reversed.len() as u64);
-        rules.extend(reversed);
-    }
-    rules.sort_unstable();
-    rules.dedup();
-    let phases = timer.report();
-    report.io_counters(io_report(spill.stats().snapshot()));
-    report.wall(started.elapsed());
-    let report = report.finish(rules.len(), &phases, &memory, bitmap_switch_at);
-    Ok(ImplicationOutput {
-        rules,
-        phases,
-        memory,
-        bitmap_switch_at,
-        workers: Vec::new(),
-        report,
-    })
+    crate::pipeline::mine_streamed(rows, n_cols, config)
 }
 
 /// Streaming DMC-sim over a fallible row iterator (see
@@ -390,82 +189,7 @@ pub fn find_similarities_streamed<I, E>(
 where
     I: IntoIterator<Item = Result<Vec<ColumnId>, E>>,
 {
-    let started = std::time::Instant::now();
-    let mut timer = PhaseTimer::new();
-    let (ones, mut spill) = {
-        let _g = timer.enter("pre-scan");
-        prescan(rows, n_cols, &config.spill)?
-    };
-    let total_rows = spill.rows();
-    let mut report = ReportBuilder::new("similarity", "streamed", 0, config.minsim);
-    report.dims(total_rows, n_cols);
-    report.spill_bytes(spill.bytes());
-
-    let mut rules = Vec::new();
-    let mut memory = CounterMemory::new();
-    let mut bitmap_switch_at = None;
-
-    if config.hundred_stage || config.minsim >= 1.0 {
-        let _g = timer.enter("100% rules");
-        let mut scan = HundredScan::new(n_cols, HundredMode::Identical, ones.clone());
-        replay_with_switch(&mut spill, total_rows, config.switch, &mut scan)?;
-        let tally = scan.tally();
-        let (_, sims, mem) = scan.into_parts();
-        report.hundred_stage(StageReport::new(
-            tally,
-            sims.len() as u64,
-            mem.peak_candidates(),
-        ));
-        rules.extend(sims);
-        memory.absorb_peak(&mem);
-    }
-
-    if config.minsim < 1.0 {
-        let active: Option<Vec<bool>> = if config.hundred_stage {
-            Some(
-                ones.iter()
-                    .map(|&o| !only_exact_rules_sim(u64::from(o), config.minsim))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut scan = SimScan::new(n_cols, config, ones, active);
-        {
-            let _g = timer.enter("<100% rules");
-            bitmap_switch_at =
-                replay_with_switch(&mut spill, total_rows, config.switch, &mut scan)?;
-        }
-        let tally = scan.tally();
-        let (stage_rules, mem) = scan.into_parts();
-        let before = rules.len();
-        if config.hundred_stage {
-            rules.extend(stage_rules.into_iter().filter(|r| r.hits < r.union()));
-        } else {
-            rules.extend(stage_rules);
-        }
-        report.sub_stage(StageReport::new(
-            tally,
-            (rules.len() - before) as u64,
-            mem.peak_candidates(),
-        ));
-        memory.absorb_peak(&mem);
-    }
-
-    rules.sort_unstable();
-    rules.dedup();
-    let phases = timer.report();
-    report.io_counters(io_report(spill.stats().snapshot()));
-    report.wall(started.elapsed());
-    let report = report.finish(rules.len(), &phases, &memory, bitmap_switch_at);
-    Ok(SimilarityOutput {
-        rules,
-        phases,
-        memory,
-        bitmap_switch_at,
-        workers: Vec::new(),
-        report,
-    })
+    crate::pipeline::mine_streamed(rows, n_cols, config)
 }
 
 #[cfg(test)]

@@ -13,11 +13,11 @@
 //! ids     nnz x u32            concatenated sorted row column ids
 //! ```
 //!
-//! Buffers are assembled and parsed with the `bytes` crate's `Buf`/`BufMut`
-//! cursors, which keep the offset arithmetic honest.
+//! Buffers are assembled with `to_le_bytes` and parsed through a slice
+//! cursor that advances past every field it reads, which keeps the offset
+//! arithmetic honest.
 
 use crate::{ColumnId, MatrixBuilder, SparseMatrix};
-use bytes::{Buf, BufMut};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"DMCMAT01";
@@ -50,24 +50,40 @@ impl From<io::Error> for BinaryError {
     }
 }
 
+/// Splits the next `N` bytes off the front of `data`. Callers check the
+/// length first; a short buffer is a bug.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data.split_at(N);
+    *data = rest;
+    head.try_into().expect("split_at returned N bytes")
+}
+
+fn get_u64_le(data: &mut &[u8]) -> u64 {
+    u64::from_le_bytes(take(data))
+}
+
+fn get_u32_le(data: &mut &[u8]) -> u32 {
+    u32::from_le_bytes(take(data))
+}
+
 /// Encodes `matrix` into a byte vector.
 #[must_use]
 pub fn encode_matrix(matrix: &SparseMatrix) -> Vec<u8> {
     let n_rows = matrix.n_rows();
     let mut buf = Vec::with_capacity(8 + 24 + (n_rows + 1) * 8 + matrix.nnz() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(matrix.n_cols() as u64);
-    buf.put_u64_le(n_rows as u64);
-    buf.put_u64_le(matrix.nnz() as u64);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(matrix.n_cols() as u64).to_le_bytes());
+    buf.extend_from_slice(&(n_rows as u64).to_le_bytes());
+    buf.extend_from_slice(&(matrix.nnz() as u64).to_le_bytes());
     let mut offset = 0u64;
-    buf.put_u64_le(0);
+    buf.extend_from_slice(&0u64.to_le_bytes());
     for r in 0..n_rows {
         offset += matrix.row_len(r) as u64;
-        buf.put_u64_le(offset);
+        buf.extend_from_slice(&offset.to_le_bytes());
     }
     for row in matrix.rows() {
         for &c in row {
-            buf.put_u32_le(c);
+            buf.extend_from_slice(&c.to_le_bytes());
         }
     }
     buf
@@ -80,28 +96,27 @@ pub fn encode_matrix(matrix: &SparseMatrix) -> Vec<u8> {
 /// Returns [`BinaryError`] on truncation, bad magic, or inconsistent
 /// structure (non-monotone offsets, unsorted rows, out-of-range ids).
 pub fn decode_matrix(mut data: &[u8]) -> Result<SparseMatrix, BinaryError> {
-    if data.remaining() < 8 + 24 {
+    if data.len() < 8 + 24 {
         return Err(BinaryError::Corrupt("truncated header"));
     }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
+    let magic: [u8; 8] = take(&mut data);
     if &magic != MAGIC {
         return Err(BinaryError::BadMagic);
     }
-    let n_cols = data.get_u64_le() as usize;
-    let n_rows = data.get_u64_le() as usize;
-    let nnz = data.get_u64_le() as usize;
+    let n_cols = get_u64_le(&mut data) as usize;
+    let n_rows = get_u64_le(&mut data) as usize;
+    let nnz = get_u64_le(&mut data) as usize;
     let need = n_rows
         .checked_add(1)
         .and_then(|r| r.checked_mul(8))
         .and_then(|o| o.checked_add(nnz.checked_mul(4)?))
         .ok_or(BinaryError::Corrupt("size overflow"))?;
-    if data.remaining() < need {
+    if data.len() < need {
         return Err(BinaryError::Corrupt("truncated body"));
     }
     let mut offsets = Vec::with_capacity(n_rows + 1);
     for _ in 0..=n_rows {
-        offsets.push(data.get_u64_le() as usize);
+        offsets.push(get_u64_le(&mut data) as usize);
     }
     if offsets[0] != 0 || offsets[n_rows] != nnz {
         return Err(BinaryError::Corrupt("offset endpoints"));
@@ -115,7 +130,7 @@ pub fn decode_matrix(mut data: &[u8]) -> Result<SparseMatrix, BinaryError> {
         let len = offsets[r + 1] - offsets[r];
         row.clear();
         for _ in 0..len {
-            let id = data.get_u32_le();
+            let id = get_u32_le(&mut data);
             if id as usize >= n_cols {
                 return Err(BinaryError::Corrupt("column id out of range"));
             }

@@ -29,7 +29,6 @@ use std::fmt;
 /// assert_eq!(m.column_ones(), vec![2, 3, 2]); // |S_1|=2, |S_2|=3, |S_3|=2
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparseMatrix {
     /// `row_offsets[r]..row_offsets[r+1]` indexes `col_indices` for row `r`.
     row_offsets: Vec<usize>,

@@ -14,7 +14,6 @@ use crate::{RowId, SparseMatrix};
 
 /// How the second scan should visit rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RowOrder {
     /// Original row order (no §4.1 optimization).
     #[default]

@@ -45,9 +45,8 @@
 //! # Sharing
 //!
 //! [`BucketSpill::share`] seals the spill (no more writes) into a
-//! [`SharedSpill`], which is `Clone + Send + Sync`: the parallel streamed
-//! drivers hand clones to reader threads that replay the same files
-//! concurrently.
+//! [`SharedSpill`], which is `Clone + Send + Sync`: clones can be handed
+//! to threads that replay the same files concurrently.
 
 use crate::order::density_bucket;
 use crate::spill_io::{

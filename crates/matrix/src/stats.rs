@@ -4,7 +4,6 @@ use crate::SparseMatrix;
 
 /// Table-1 style summary of a data set.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MatrixStats {
     pub rows: usize,
     pub cols: usize,

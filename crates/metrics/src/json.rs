@@ -1,9 +1,9 @@
 //! Minimal JSON support shared by the workspace's machine-readable
 //! artifacts.
 //!
-//! The workspace vendors its dependencies and `serde` is only available as
-//! a placeholder, so structured output is rendered and parsed with a small
-//! hand-rolled implementation: a [`JsonWriter`] that produces
+//! The workspace vendors its dependencies and has no `serde`, so
+//! structured output is rendered and parsed with a small hand-rolled
+//! implementation: a [`JsonWriter`] that produces
 //! deterministic, pretty-printed output (fixed key order, two-space
 //! indent), and a [`JsonValue`] recursive-descent parser used by the test
 //! suite, the bench harness and CI to validate what the writer produced.

@@ -9,9 +9,7 @@
 //!
 //! [`PhaseTimer`] provides the first, [`CounterMemory`] the second. Both are
 //! plain single-threaded accumulators the algorithms update inline; the
-//! experiments harness then renders them into the paper's tables. Parallel
-//! drivers keep one of each per worker and surface them via
-//! [`WorkerReport`].
+//! experiments harness then renders them into the paper's tables.
 //!
 //! On top of those accumulators sits the structured observability layer:
 //! [`ScanTally`] counts scan events (rows, candidate admissions/deletions,
@@ -33,7 +31,6 @@ mod report;
 mod tally;
 pub mod telemetry;
 mod timer;
-mod worker;
 
 pub use memory::{CounterMemory, MemorySample, COL_OVERHEAD_BYTES, ENTRY_BYTES};
 pub use report::{
@@ -46,4 +43,3 @@ pub use telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot, SpanEvent,
 };
 pub use timer::{PhaseReport, PhaseTimer};
-pub use worker::WorkerReport;

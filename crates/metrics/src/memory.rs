@@ -22,7 +22,6 @@ pub const COL_OVERHEAD_BYTES: usize = 16;
 
 /// One point of the Fig-3 memory curve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemorySample {
     /// Rows scanned when the sample was taken.
     pub rows_scanned: usize,

@@ -1,12 +1,12 @@
 //! The machine-readable run report.
 //!
 //! A [`RunReport`] rolls one mining run's trajectory — phase timings,
-//! typed event counters, per-stage outcomes, worker aggregates, the
-//! DMC-bitmap switch position and spill volume — into a single value that
-//! is attached to the driver output and can be rendered as JSON with
-//! [`RunReport::to_json`]. All eight drivers (implication/similarity ×
-//! in-memory/streamed × sequential/parallel) populate the same schema,
-//! identified by [`RUN_REPORT_SCHEMA`].
+//! typed event counters, per-stage outcomes, the DMC-bitmap switch
+//! position and spill volume — into a single value that is attached to
+//! the driver output and can be rendered as JSON with
+//! [`RunReport::to_json`]. All four drivers (implication/similarity ×
+//! in-memory/streamed) populate the same schema, identified by
+//! [`RUN_REPORT_SCHEMA`].
 //!
 //! The report is self-checking: [`RunReport::reconciles`] verifies the
 //! §6-style accounting identities (admitted = deleted + emitted per stage,
@@ -18,7 +18,6 @@ use crate::json::JsonWriter;
 use crate::memory::CounterMemory;
 use crate::tally::ScanTally;
 use crate::timer::PhaseReport;
-use crate::worker::WorkerReport;
 
 /// Schema identifier embedded in every JSON report. v2 added the `io`
 /// section (spill frame/retry/corruption counters); v3 added
@@ -237,7 +236,9 @@ impl StageReport {
     }
 }
 
-/// Per-worker aggregate for parallel drivers.
+/// Per-worker aggregate of a multi-worker run. Part of the v8 schema;
+/// every driver today is sequential and leaves [`RunReport::workers`]
+/// empty.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerSummary {
     /// Worker index (0-based).
@@ -246,8 +247,7 @@ pub struct WorkerSummary {
     pub busy_seconds: f64,
     /// Event counters summed over the worker's stages.
     pub tally: ScanTally,
-    /// Peak candidate count in the worker's counter arrays (zero under
-    /// the block scheduler, which shares one counter array).
+    /// Peak candidate count in the worker's counter arrays.
     pub peak_candidates: usize,
     /// Row position where this worker observed the bitmap switch.
     pub switch_at: Option<usize>,
@@ -257,20 +257,6 @@ pub struct WorkerSummary {
     pub blocks_stolen: u64,
 }
 
-impl From<&WorkerReport> for WorkerSummary {
-    fn from(r: &WorkerReport) -> Self {
-        Self {
-            worker: r.worker,
-            busy_seconds: r.phases.total().as_secs_f64(),
-            tally: r.tally,
-            peak_candidates: r.memory.peak_candidates(),
-            switch_at: r.switch_at,
-            blocks_processed: r.blocks_processed,
-            blocks_stolen: r.blocks_stolen,
-        }
-    }
-}
-
 /// The full trajectory of one mining run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
@@ -278,7 +264,7 @@ pub struct RunReport {
     pub algorithm: &'static str,
     /// `"in-memory"` or `"streamed"`.
     pub mode: &'static str,
-    /// Worker threads used (0 for the sequential drivers).
+    /// Worker threads used (0: every driver is sequential).
     pub threads: usize,
     /// Rows in the input (after the pre-scan, for streamed runs).
     pub rows: usize,
@@ -315,7 +301,7 @@ pub struct RunReport {
     pub spill_bytes: u64,
     /// Spill I/O counters (streamed runs; `None` in-memory).
     pub io: Option<IoReport>,
-    /// Per-worker aggregates (empty for sequential runs).
+    /// Per-worker aggregates (empty: every driver is sequential).
     pub workers: Vec<WorkerSummary>,
     /// Request-serving counters (`None` for batch runs; a serving layer
     /// attaches them before rendering).
@@ -732,12 +718,6 @@ impl ReportBuilder {
     /// [`ReportBuilder::finish`] falls back to the sum of the named phases.
     pub fn wall(&mut self, elapsed: std::time::Duration) -> &mut Self {
         self.report.wall_seconds = elapsed.as_secs_f64();
-        self
-    }
-
-    /// Adds one worker's aggregate.
-    pub fn push_worker(&mut self, worker: WorkerSummary) -> &mut Self {
-        self.report.workers.push(worker);
         self
     }
 

@@ -27,7 +27,6 @@
 
 /// Cumulative event counts of one scan (or a merge of several).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScanTally {
     /// Rows fed through the scan.
     pub rows_scanned: u64,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! dmc-serve <matrix-file> (--minconf X | --minsim X)
-//!           [--threads N] [--addr HOST:PORT] [--metrics FILE]
+//!           [--addr HOST:PORT] [--metrics FILE]
 //!           [--telemetry-addr HOST:PORT]
 //! ```
 //!
@@ -18,12 +18,11 @@ use std::fs::File;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: dmc-serve <matrix-file> (--minconf X | --minsim X) \
-[--threads N] [--addr HOST:PORT] [--metrics FILE] [--telemetry-addr HOST:PORT]";
+[--addr HOST:PORT] [--metrics FILE] [--telemetry-addr HOST:PORT]";
 
 struct Cli {
     matrix: String,
     config: MineConfig,
-    threads: usize,
     options: DaemonOptions,
 }
 
@@ -31,7 +30,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut matrix = None;
     let mut minconf = None;
     let mut minsim = None;
-    let mut threads = 1usize;
     let mut options = DaemonOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -43,11 +41,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--minconf" => minconf = Some(value("--minconf")?),
             "--minsim" => minsim = Some(value("--minsim")?),
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs an integer".to_string())?
-            }
             "--addr" => options.addr = value("--addr")?,
             "--metrics" => options.metrics = Some(value("--metrics")?),
             "--telemetry-addr" => options.telemetry_addr = Some(value("--telemetry-addr")?),
@@ -69,13 +62,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 .map_err(|e| e.to_string())?,
             _ => return Err("exactly one of --minconf or --minsim is required".to_string()),
         };
-    if threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
     Ok(Cli {
         matrix,
         config,
-        threads,
         options,
     })
 }
@@ -104,7 +93,7 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let engine = Engine::new(cli.config, matrix).with_threads(cli.threads);
+    let engine = Engine::new(cli.config, matrix);
     match run_daemon(engine, &cli.options) {
         Ok(stats) => {
             eprintln!(

@@ -8,13 +8,12 @@ use dmc_bench::compare::{compare, Tolerance, Verdict};
 use dmc_bench::datasets::Scale;
 use dmc_bench::suite::{run_suite, BenchSuite, SuiteConfig};
 
-/// The smallest honest suite: one scale, two thread counts (so the
-/// thread-invariance cross-check actually fires), three repeats.
+/// The smallest honest suite: one scale, three repeats (so the
+/// repeat-invariance cross-check actually fires).
 fn tiny_config() -> SuiteConfig {
     let mut config = SuiteConfig::quick();
     config.name = "test".into();
     config.scales = vec![Scale::Small];
-    config.threads = vec![1, 2];
     config.warmup = 0;
     config.repeats = 3;
     config
@@ -28,10 +27,10 @@ fn run_tiny() -> BenchSuite {
 fn suite_run_emits_a_valid_reconciled_record() {
     let suite = run_tiny();
     assert_eq!(suite.schema, BENCH_SCHEMA);
-    // 1 scale x 2 modes x 2 algorithms x 2 thread counts, plus the
-    // engine query/ingest, shard mine/merge and compact base/expand
-    // cell pairs for the scale.
-    assert_eq!(suite.cells.len(), 14);
+    // 1 scale x 2 modes x 2 algorithms, plus the engine query/ingest,
+    // shard mine/merge and compact base/expand cell pairs for the scale.
+    assert_eq!(suite.cells.len(), 10);
+    assert_eq!(suite.threads, vec![1, 4], "t1 mining cells, t4 shard cells");
     for cell in &suite.cells {
         assert_eq!(cell.seconds.len(), 3, "{}", cell.id);
         assert!(cell.median_seconds > 0.0, "{}", cell.id);
@@ -81,6 +80,8 @@ fn suite_run_emits_a_valid_reconciled_record() {
             );
             continue;
         }
+        // Mining cells run the one sequential pipeline.
+        assert_eq!(cell.threads, 1, "{}", cell.id);
         // The miss-counting identity, straight from the recorded
         // fingerprint: every admitted candidate was deleted or emitted.
         assert_eq!(
@@ -109,15 +110,17 @@ fn suite_run_emits_a_valid_reconciled_record() {
     assert!(base.counters.rules_emitted <= base.counters.rows_scanned);
     assert_eq!(expand.counters.rows_scanned, base.counters.rules_emitted);
     assert_eq!(expand.counters.rules_emitted, base.counters.rows_scanned);
-    // DMC-imp counters are exact under the block scheduler, so even the
-    // cross-engine pair (t1 sequential vs t2 block-scheduler) agrees on
-    // the full work counters; run_suite asserts the per-engine and
-    // cross-engine invariants internally, but check one pair here so the
-    // property is visible in a test, not only in a panic message.
-    let t1 = suite.cell("imp/mem/t1/small").unwrap();
-    let t2 = suite.cell("imp/mem/t2/small").unwrap();
-    assert_eq!(t1.counters.work_counters(), t2.counters.work_counters());
-    assert_eq!(t1.rules, t2.rules);
+    // In-memory and streamed mines run the same pipeline over the same
+    // rows in the same (bucketed) order, so their work counters agree.
+    for algorithm in ["imp", "sim"] {
+        let mem = suite.cell(&format!("{algorithm}/mem/t1/small")).unwrap();
+        let stream = suite.cell(&format!("{algorithm}/stream/t1/small")).unwrap();
+        assert_eq!(
+            mem.counters.work_counters(),
+            stream.counters.work_counters()
+        );
+        assert_eq!(mem.rules, stream.rules);
+    }
 }
 
 #[test]

@@ -92,27 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn threaded_base_mine_does_not_change_ingest_results(
-        m in matrix_strategy(20, 12),
-        minconf in threshold_strategy(),
-        base_len in 0usize..=20,
-        threads in 1usize..5,
-    ) {
-        let rows: Vec<Vec<u32>> = m.rows().map(<[u32]>::to_vec).collect();
-        let base_len = base_len.min(rows.len());
-        let base = SparseMatrix::from_rows(m.n_cols(), rows[..base_len].to_vec());
-        let mut engine =
-            Engine::new(MineConfig::implications(minconf).unwrap(), base)
-                .with_threads(threads);
-        engine.mine();
-        engine.ingest(&rows[base_len..]).expect("ids are in range");
-        let scratch = Miner::implications(minconf)
-            .mine(&m)
-            .expect("in-memory mines cannot fail");
-        prop_assert_eq!(engine.implication_rules(), &scratch.rules[..]);
-    }
-
-    #[test]
     fn ingest_auto_mines_an_unmined_engine(
         m in matrix_strategy(20, 12),
         minconf in threshold_strategy(),

@@ -4,8 +4,8 @@
 
 use dmc_baselines::oracle;
 use dmc_core::{
-    find_implications, find_implications_parallel, find_similarities, ImplicationConfig, RowOrder,
-    SimilarityConfig, SwitchPolicy,
+    find_implications, find_similarities, ImplicationConfig, RowOrder, SimilarityConfig,
+    SwitchPolicy,
 };
 use dmc_integration_tests::{matrix_strategy, random_matrix, threshold_strategy};
 use proptest::prelude::*;
@@ -105,17 +105,6 @@ proptest! {
                 .with_hundred_stage(false),
         );
         prop_assert_eq!(toggled.rules, base.rules);
-    }
-
-    #[test]
-    fn parallel_matches_sequential(
-        m in matrix_strategy(20, 12),
-        minconf in threshold_strategy(),
-        threads in 1usize..5,
-    ) {
-        let seq = find_implications(&m, &ImplicationConfig::new(minconf));
-        let par = find_implications_parallel(&m, &ImplicationConfig::new(minconf), threads);
-        prop_assert_eq!(par.rules, seq.rules);
     }
 
     #[test]

