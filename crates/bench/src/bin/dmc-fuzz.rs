@@ -7,8 +7,9 @@
 //!
 //! Each iteration draws a random sparse matrix (dimensions, density and
 //! skew all randomized), a random threshold, and a random configuration
-//! (row order, switch point, stage/pruning toggles), mines it in memory
-//! and streamed, and asserts byte-identical agreement with
+//! (row order, switch point, stage/pruning toggles, and for in-memory
+//! implication mines a worker count in 1..=4), mines it in memory and
+//! streamed, and asserts byte-identical agreement with
 //! `dmc_baselines::oracle`. The seed is printed before the first
 //! iteration; the run exits non-zero on the first mismatch with a
 //! reproduction line.
@@ -16,7 +17,7 @@
 use dmc_baselines::oracle;
 use dmc_core::{
     find_implications, find_implications_streamed, find_similarities, find_similarities_streamed,
-    ImplicationConfig, RowOrder, SimilarityConfig, SparseMatrix, SwitchPolicy,
+    ImplicationConfig, Miner, RowOrder, SimilarityConfig, SparseMatrix, SwitchPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,6 +97,22 @@ fn check_iteration(iter: u64, rng: &mut StdRng) -> Result<(), String> {
     if got.rules != want_imp {
         return Err(format!(
             "iter {iter}: find_implications mismatch (thr {thr})"
+        ));
+    }
+    // Above one worker (and as many cores) this is the column-unit
+    // executor.
+    let threads = rng.gen_range(1..=4);
+    let got = Miner::implications(thr)
+        .order(imp_cfg.row_order.clone())
+        .switch(imp_cfg.switch)
+        .hundred_stage(imp_cfg.hundred_stage)
+        .reverse(imp_cfg.emit_reverse)
+        .threads(threads)
+        .mine(&m)
+        .expect("in-memory mining cannot fail");
+    if got.rules != want_imp || !got.report.reconciles() {
+        return Err(format!(
+            "iter {iter}: threads({threads}) implications mismatch (thr {thr})"
         ));
     }
     let rows: Vec<Result<Vec<u32>, std::convert::Infallible>> =

@@ -24,6 +24,8 @@ pub enum ArgError {
     Required(String),
     /// The option no longer exists; payload is (option, why).
     Removed(String, &'static str),
+    /// No command takes this option (a misspelling, most likely).
+    Unknown(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -33,13 +35,14 @@ impl std::fmt::Display for ArgError {
             ArgError::BadValue(opt, v) => write!(f, "option --{opt}: invalid value {v:?}"),
             ArgError::Required(opt) => write!(f, "option --{opt} is required"),
             ArgError::Removed(opt, why) => write!(f, "option --{opt} was removed: {why}"),
+            ArgError::Unknown(opt) => write!(f, "unknown option --{opt}"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Option names that take a value; everything else `--x` is a flag.
+/// Option names that take a value.
 const VALUED: &[&str] = &[
     "minconf",
     "minsim",
@@ -67,13 +70,28 @@ const VALUED: &[&str] = &[
     "telemetry-addr",
 ];
 
+/// Option names that take no value. A `--name` in neither list is an
+/// [`ArgError::Unknown`].
+const FLAGS: &[&str] = &[
+    "compact",
+    "expand",
+    "keep-shards",
+    "merge",
+    "no-hundred-stage",
+    "no-max-hits",
+    "quiet",
+    "reverse",
+    "stream",
+];
+
 impl Args {
     /// Parses raw arguments (without the program/subcommand names).
     ///
     /// # Errors
     ///
     /// Returns [`ArgError::MissingValue`] when a valued option ends the
-    /// argument list, and [`ArgError::Removed`] for a removed option.
+    /// argument list, [`ArgError::Removed`] for a removed option and
+    /// [`ArgError::Unknown`] for any other option no command takes.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter();
@@ -84,7 +102,7 @@ impl Args {
                 if name == "threads" {
                     return Err(ArgError::Removed(
                         name.to_string(),
-                        "every mine runs sequentially",
+                        "the CLI runs every mine on one thread",
                     ));
                 }
                 if VALUED.contains(&name) {
@@ -94,8 +112,10 @@ impl Args {
                         }
                         None => return Err(ArgError::MissingValue(name.to_string())),
                     }
-                } else {
+                } else if FLAGS.contains(&name) {
                     args.options.insert(name.to_string(), None);
+                } else {
+                    return Err(ArgError::Unknown(name.to_string()));
                 }
             } else {
                 args.positional.push(token);
@@ -197,6 +217,23 @@ mod tests {
         let err = Args::parse(vec!["--threads".to_string(), "4".to_string()]).unwrap_err();
         assert!(matches!(err, ArgError::Removed(ref opt, _) if opt == "threads"));
         assert!(err.to_string().contains("--threads was removed"));
+
+        // A misspelled option is an error, not a silently ignored flag,
+        // and its would-be value does not land in the positionals.
+        let err = Args::parse(["data.txt", "--limt", "5"].map(String::from)).unwrap_err();
+        assert_eq!(err, ArgError::Unknown("limt".into()));
+        assert_eq!(err.to_string(), "unknown option --limt");
+    }
+
+    #[test]
+    fn flag_and_valued_lists_are_disjoint() {
+        for name in FLAGS {
+            assert!(!VALUED.contains(name), "--{name} is both a flag and valued");
+            assert!(parse(&[&format!("--{name}")]).flag(name));
+        }
+        for name in VALUED {
+            assert_eq!(parse(&[&format!("--{name}"), "v"]).get(name), Some("v"));
+        }
     }
 
     #[test]

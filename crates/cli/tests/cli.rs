@@ -158,7 +158,7 @@ fn run_code(args: &[&str], stdin: Option<&str>) -> (String, Option<i32>) {
     )
 }
 
-/// `--threads` was removed (every mine runs sequentially): any value,
+/// `--threads` was removed (the CLI runs every mine on one thread): any value,
 /// zero included, is a usage error rather than a silently ignored flag.
 #[test]
 fn zero_threads_is_a_usage_error() {
@@ -171,6 +171,21 @@ fn zero_threads_is_a_usage_error() {
         let (stderr, code) = run_code(&cmd, Some(FIG1));
         assert_eq!(code, Some(2), "usage error exit code: {stderr}");
         assert!(stderr.contains("threads"), "{stderr}");
+        assert!(stderr.contains("usage:"), "usage text shown: {stderr}");
+    }
+}
+
+/// A misspelled option is a usage error (exit 2) naming the option, not
+/// a silently ignored flag.
+#[test]
+fn misspelled_option_is_a_usage_error() {
+    for cmd in [
+        vec!["imp", "-", "--minconf", "0.9", "--quiet", "--limt", "5"],
+        vec!["sim", "-", "--minsim", "0.8", "--revrse"],
+    ] {
+        let (stderr, code) = run_code(&cmd, Some(FIG1));
+        assert_eq!(code, Some(2), "usage error exit code: {stderr}");
+        assert!(stderr.contains("unknown option --"), "{stderr}");
         assert!(stderr.contains("usage:"), "usage text shown: {stderr}");
     }
 }
@@ -254,7 +269,7 @@ fn metrics_file_written_for_streamed_sim() {
     assert_eq!(json.get("mode").and_then(|v| v.as_str()), Some("streamed"));
     assert_eq!(json.get("threads").and_then(|v| v.as_u64()), Some(0));
     let workers = json.get("workers").and_then(|v| v.as_array()).unwrap();
-    assert!(workers.is_empty(), "every mine is sequential");
+    assert!(workers.is_empty(), "the CLI mines on one thread");
     assert!(
         json.get("spill_bytes").and_then(|v| v.as_u64()).unwrap() > 0,
         "streamed runs record spill bytes"

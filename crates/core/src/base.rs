@@ -159,30 +159,57 @@ impl BaseScan {
         // row. Per-column updates are independent because `cnt` is only
         // advanced in step 3(b).
         for &j in row {
-            if !self.is_lhs(j) {
-                continue;
-            }
-            let cnt_j = self.cnt[j as usize];
-            let maxmis_j = self.maxmis[j as usize];
-            if cnt_j == 0 {
-                self.create_list(j, row);
-            } else if cnt_j <= maxmis_j {
-                self.merge_open(j, row, cnt_j, maxmis_j);
-            } else {
-                self.update_closed(j, row, maxmis_j);
+            if self.is_lhs(j) {
+                self.update_list(j, row);
             }
         }
         // Step 3(b): advance counters and emit completed columns.
         for &j in row {
-            if !self.is_lhs(j) {
-                continue;
-            }
-            self.cnt[j as usize] += 1;
-            if self.cnt[j as usize] == self.ones[j as usize] {
-                self.complete_column(j);
+            if self.is_lhs(j) {
+                self.advance(j);
             }
         }
         BaseOutcome::Counted
+    }
+
+    /// Runs steps 3(a) and 3(b) of [`process_row`](Self::process_row) for
+    /// LHS column `j` alone, on a row that contains `j`.
+    ///
+    /// Column `j`'s candidate list, counter and rules depend only on the
+    /// rows that contain `j`, in scan order, so feeding each column its own
+    /// rows through this method gives the same rules and the same
+    /// admission, miss, deletion and emission counts as feeding every row
+    /// to `process_row`. It does not count a scanned row.
+    pub fn process_column(&mut self, j: ColumnId, row: &[ColumnId]) {
+        debug_assert!(row.binary_search(&j).is_ok(), "row lacks column c{j}");
+        if self.is_lhs(j) {
+            self.update_list(j, row);
+            self.advance(j);
+        }
+    }
+
+    /// Step 3(a) for column `j`: the three cases of Algorithm 3.1.
+    #[inline]
+    fn update_list(&mut self, j: ColumnId, row: &[ColumnId]) {
+        let cnt_j = self.cnt[j as usize];
+        let maxmis_j = self.maxmis[j as usize];
+        if cnt_j == 0 {
+            self.create_list(j, row);
+        } else if cnt_j <= maxmis_j {
+            self.merge_open(j, row, cnt_j, maxmis_j);
+        } else {
+            self.update_closed(j, row, maxmis_j);
+        }
+    }
+
+    /// Step 3(b) for column `j`: count the row and emit the column's rules
+    /// once all its 1s are seen.
+    #[inline]
+    fn advance(&mut self, j: ColumnId) {
+        self.cnt[j as usize] += 1;
+        if self.cnt[j as usize] == self.ones[j as usize] {
+            self.complete_column(j);
+        }
     }
 
     /// Records the per-row memory history sample.
@@ -520,6 +547,41 @@ mod tests {
         );
     }
 
+    /// Feeding each column its own rows, column by column, gives the
+    /// row-major scan's rules and event counts at every threshold.
+    #[test]
+    fn column_at_a_time_matches_row_major() {
+        let m = fig2();
+        let postings = m.column_rows();
+        for &minconf in &[1.0, 0.9, 0.8, 0.6, 0.3] {
+            let mut rows = BaseScan::new(m.n_cols(), minconf, m.column_ones(), None, true, false);
+            for row in m.rows() {
+                rows.process_row(row);
+            }
+            let mut cols = BaseScan::new(m.n_cols(), minconf, m.column_ones(), None, true, false);
+            for j in (0..m.n_cols()).rev() {
+                for &r in &postings[j] {
+                    cols.process_column(j as ColumnId, m.row(r as usize));
+                }
+            }
+            let (rows_tally, cols_tally) = (rows.tally(), cols.tally());
+            assert_eq!(cols_tally.rows_scanned, 0, "no whole row was scanned");
+            assert_eq!(
+                ScanTally {
+                    rows_scanned: 0,
+                    ..rows_tally
+                },
+                cols_tally,
+                "minconf={minconf}"
+            );
+            let (mut want, _) = rows.into_parts();
+            let (mut got, _) = cols.into_parts();
+            want.sort();
+            got.sort();
+            assert_eq!(got, want, "minconf={minconf}");
+        }
+    }
+
     #[test]
     fn memory_accounting_matches_list_contents() {
         let m = fig2();
@@ -541,8 +603,6 @@ mod tests {
         assert!(run(&m, 0.9).is_empty());
     }
 
-    /// Block application is state-identical to row-by-row processing —
-    /// rules, tallies and counters — at every block size and threshold.
     #[test]
     fn duplicate_columns_pair_at_full_confidence() {
         // Columns 0 and 1 are identical; 2 is different.

@@ -5,8 +5,6 @@
 //! special-case the two. [`MineError`] folds both — plus the typed
 //! threshold validation of the [`Engine`](crate::Engine) path — into one
 //! enum: in-memory mines simply never produce the stream-only variants.
-//! The old `run`/`run_streamed` signatures survive as `#[deprecated]`
-//! wrappers on [`Miner`](crate::Miner).
 
 use crate::stream::StreamError;
 use dmc_matrix::ColumnId;

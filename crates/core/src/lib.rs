@@ -60,7 +60,10 @@
 //!
 //! All of them run one staged pipeline (pre-scan, 100% stage, sub-100%
 //! scan, bitmap tail), written once for both measures and both row
-//! sources; rows reach it through a single sequential stage loop.
+//! sources; rows reach it through a single sequential stage loop. In-memory
+//! implication mines can instead spread the sub-100% stage over several
+//! workers, one LHS column at a time
+//! ([`ImplicationMiner::threads`]), with byte-identical rules.
 //!
 //! # Observability
 //!

@@ -31,6 +31,24 @@
 //! compatibility; new code should prefer the facade — or, for long-lived
 //! use (incremental ingest, point queries), the [`Engine`](crate::Engine).
 //!
+//! [`ImplicationMiner::threads`] picks the in-memory implication
+//! executor: one worker (the default) runs the sequential row-major
+//! pipeline; more run the column-unit executor, where each worker mines
+//! whole LHS columns from their postings (DESIGN.md §8). Both give
+//! byte-identical rules. Similarity and streamed mines are always
+//! sequential.
+//!
+//! ```
+//! use dmc_core::{Miner, SparseMatrix};
+//!
+//! let m = SparseMatrix::from_rows(3, vec![
+//!     vec![0, 1], vec![0, 1, 2], vec![1], vec![0, 1],
+//! ]);
+//! let one = Miner::implications(0.6).mine(&m).unwrap();
+//! let two = Miner::implications(0.6).threads(2).mine(&m).unwrap();
+//! assert_eq!(one.rules, two.rules);
+//! ```
+//!
 //! Both `mine` methods return [`MineError`], the unified error enum: the
 //! in-memory path never actually fails (its only possible error, a bad
 //! threshold, panics in the constructor instead), and the streamed path
@@ -38,7 +56,7 @@
 
 use crate::config::{ImplicationConfig, SimilarityConfig, SwitchPolicy};
 use crate::error::MineError;
-use crate::imp::{find_implications, ImplicationOutput};
+use crate::imp::ImplicationOutput;
 use crate::sim::{find_similarities, SimilarityOutput};
 use crate::stream::{find_implications_streamed, find_similarities_streamed};
 use dmc_matrix::order::RowOrder;
@@ -58,6 +76,7 @@ impl Miner {
     pub fn implications(minconf: f64) -> ImplicationMiner {
         ImplicationMiner {
             config: ImplicationConfig::new(minconf),
+            threads: 1,
         }
     }
 
@@ -78,15 +97,25 @@ impl Miner {
 #[derive(Clone, Debug)]
 pub struct ImplicationMiner {
     config: ImplicationConfig,
+    threads: usize,
 }
 
 impl ImplicationMiner {
-    /// Formerly the worker count of the block scheduler, which lost to
-    /// one worker on every measured workload and was removed. Every mine
-    /// is sequential; the request is ignored.
-    #[deprecated(since = "0.1.0", note = "every mine is sequential; this is a no-op")]
+    /// Worker threads for in-memory mines (default 1).
+    ///
+    /// With `n > 1`, [`mine`](Self::mine) runs the column-unit executor
+    /// (DESIGN.md §8) on `n` workers, capped at
+    /// [`std::thread::available_parallelism`] and at the number of columns
+    /// the sub-100% stage mines. Its rules are byte-identical to the
+    /// sequential mine's; its report carries one
+    /// [`WorkerSummary`](crate::WorkerSummary) per worker and no bitmap
+    /// switch, since it ignores the [`SwitchPolicy`]. When the cap leaves
+    /// one worker, and for memory-history runs, the mine is the
+    /// sequential one. `0` and `1` mean sequential. Streamed mines ignore
+    /// this.
     #[must_use]
-    pub fn threads(self, _n: usize) -> Self {
+    pub fn threads(mut self, n: usize) -> Self {
+        self.threads = n;
         self
     }
 
@@ -156,7 +185,12 @@ impl ImplicationMiner {
     /// uniform with [`mine_streamed`](Self::mine_streamed) so generic
     /// callers handle one error type.
     pub fn mine(&self, matrix: &SparseMatrix) -> Result<ImplicationOutput, MineError> {
-        Ok(find_implications(matrix, &self.config))
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Ok(crate::pipeline::mine_implications_in_memory(
+            matrix,
+            &self.config,
+            self.threads.min(cores),
+        ))
     }
 
     /// Mines a fallible row stream out-of-core (two passes, §4.1 density
@@ -185,9 +219,10 @@ pub struct SimilarityMiner {
 }
 
 impl SimilarityMiner {
-    /// Formerly the worker count; see [`ImplicationMiner::threads`]. The
-    /// request is ignored.
-    #[deprecated(since = "0.1.0", note = "every mine is sequential; this is a no-op")]
+    /// Accepted for symmetry with [`ImplicationMiner::threads`] and
+    /// ignored: similarity mines are sequential. The §5.2 max-hits bound
+    /// reads the RHS column's count of rows scanned so far, which a worker
+    /// mining one LHS column from its postings does not have.
     #[must_use]
     pub fn threads(self, _n: usize) -> Self {
         self
@@ -355,11 +390,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_mine_identically() {
+    fn threads_knob_mines_identically() {
         let m = fig2();
-        // The deprecated `threads` knob is a no-op: every request must
-        // byte-match the plain mine, in memory and streamed.
+        // Every worker count byte-matches the plain mine, in memory and
+        // streamed (which ignores the knob).
         let expected = imp_bytes(&Miner::implications(0.8).mine(&m).unwrap().rules);
         for n in [0, 1, 4] {
             let miner = Miner::implications(0.8).threads(n);
@@ -408,7 +442,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn zero_threads_means_sequential() {
         let m = fig2();
         let out = Miner::implications(0.8).threads(0).mine(&m).unwrap();

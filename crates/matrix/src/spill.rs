@@ -35,18 +35,12 @@
 //!
 //! # Cleanup
 //!
-//! Every handle that can read the files — the [`BucketSpill`] itself, each
-//! [`SharedSpill`] clone, and each live [`SpillReplay`] — shares ownership
-//! of an internal guard; the bucket files are unlinked when the **last**
-//! handle drops. An early error return (or a spill dropped mid-replay)
-//! therefore never strands files on disk, and a replay in flight keeps its
-//! files alive even if the spill that created it is gone.
-//!
-//! # Sharing
-//!
-//! [`BucketSpill::share`] seals the spill (no more writes) into a
-//! [`SharedSpill`], which is `Clone + Send + Sync`: clones can be handed
-//! to threads that replay the same files concurrently.
+//! Every handle that can read the files — the [`BucketSpill`] itself and
+//! each live [`SpillReplay`] — shares ownership of an internal guard; the
+//! bucket files are unlinked when the **last** handle drops. An early
+//! error return (or a spill dropped mid-replay) therefore never strands
+//! files on disk, and a replay in flight keeps its files alive even if the
+//! spill that created it is gone.
 
 use crate::order::density_bucket;
 use crate::spill_io::{
@@ -110,9 +104,9 @@ impl std::error::Error for SpillReadError {
 }
 
 /// Owns the on-disk bucket files; unlinks them (through the spill's io
-/// backend) on drop. Shared (via `Arc`) by the spill, its [`SharedSpill`]
-/// handles, and live replays, so the files survive exactly as long as
-/// something can still read them.
+/// backend) on drop. Shared (via `Arc`) by the spill and its live
+/// replays, so the files survive exactly as long as something can still
+/// read them.
 struct SpillFiles {
     io: Arc<dyn SpillIo>,
     paths: Mutex<Vec<Option<PathBuf>>>,
@@ -378,65 +372,6 @@ impl BucketSpill {
             Arc::clone(&self.stats),
         ))
     }
-
-    /// Seals the spill for reading and returns a cloneable, thread-safe
-    /// handle over the same bucket files. No further rows can be pushed;
-    /// the files are removed when the last handle (and last live replay)
-    /// drops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flush failures (the files are still cleaned up).
-    pub fn share(mut self) -> io::Result<SharedSpill> {
-        self.flush()?;
-        // Close the write handles; SharedSpill re-opens per replay.
-        self.writers.clear();
-        Ok(SharedSpill {
-            files: Arc::clone(&self.files),
-            retry: self.settings.retry,
-            stats: Arc::clone(&self.stats),
-            rows: self.rows,
-            bytes: self.bytes,
-        })
-    }
-}
-
-/// A sealed, read-only view of a [`BucketSpill`]'s files, safe to clone
-/// across threads. Created by [`BucketSpill::share`].
-#[derive(Clone)]
-pub struct SharedSpill {
-    files: Arc<SpillFiles>,
-    retry: RetryPolicy,
-    stats: Arc<SpillIoStats>,
-    rows: usize,
-    bytes: u64,
-}
-
-impl SharedSpill {
-    /// Rows in the spill.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Bytes in the spill's bucket files (frame headers included).
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// The spill's shared I/O counters.
-    #[must_use]
-    pub fn stats(&self) -> Arc<SpillIoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// A fresh sparsest-bucket-first row iterator. Independent replays
-    /// (including concurrent ones from clones) do not interfere.
-    #[must_use]
-    pub fn replay(&self) -> SpillReplay {
-        SpillReplay::over(Arc::clone(&self.files), self.retry, Arc::clone(&self.stats))
-    }
 }
 
 /// Row iterator over a [`BucketSpill`], sparsest bucket first. Each frame
@@ -680,8 +615,6 @@ mod tests {
         spill.push_row(&[0, 1, 2]).unwrap(); // 12-byte header + 3*4
         spill.push_row(&[]).unwrap(); // 12-byte header
         assert_eq!(spill.bytes(), 36);
-        let shared = spill.share().unwrap();
-        assert_eq!(shared.bytes(), 36);
     }
 
     #[test]
@@ -727,30 +660,6 @@ mod tests {
         assert_eq!(replay.next().unwrap().unwrap(), vec![2]);
         drop(replay);
         assert!(!path.exists(), "last handle removes the file");
-    }
-
-    #[test]
-    fn shared_spill_replays_from_clones_and_cleans_up_last() {
-        let dir = temp_dir();
-        let mut spill = BucketSpill::new(&dir, 10).unwrap();
-        spill.push_row(&[0, 1]).unwrap();
-        spill.push_row(&[2]).unwrap();
-        let path = spill.bucket_path(0);
-        let shared = spill.share().unwrap();
-        assert_eq!(shared.rows(), 2);
-
-        let clone = shared.clone();
-        let rows: Vec<Vec<ColumnId>> =
-            std::thread::spawn(move || clone.replay().map(Result::unwrap).collect())
-                .join()
-                .unwrap();
-        assert_eq!(rows, vec![vec![2], vec![0, 1]]);
-        assert!(path.exists(), "original handle still alive");
-
-        let again: Vec<Vec<ColumnId>> = shared.replay().map(Result::unwrap).collect();
-        assert_eq!(again, rows);
-        drop(shared);
-        assert!(!path.exists(), "last shared handle removes the files");
     }
 
     #[test]

@@ -220,8 +220,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Shared atomic counters for one spill's I/O trajectory. Cloned into
-/// every replay (including cross-thread `SharedSpill` replays), snapshotted
-/// by the drivers into the run report's `io` section.
+/// every replay, snapshotted by the drivers into the run report's `io`
+/// section.
 #[derive(Debug, Default)]
 pub struct SpillIoStats {
     /// Row frames appended by `push_row`.

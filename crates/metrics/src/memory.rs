@@ -189,6 +189,16 @@ impl CounterMemory {
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
         self.history.extend_from_slice(&other.history);
     }
+
+    /// Merges the peaks of trackers that ran at the same time: the sum of
+    /// their peaks bounds what they held at once.
+    pub fn absorb_concurrent_peaks<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>) {
+        let (candidates, bytes) = others.into_iter().fold((0, 0), |(c, b), o| {
+            (c + o.peak_candidates, b + o.peak_bytes)
+        });
+        self.peak_candidates = self.peak_candidates.max(candidates);
+        self.peak_bytes = self.peak_bytes.max(bytes);
+    }
 }
 
 #[cfg(test)]

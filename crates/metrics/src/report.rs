@@ -236,9 +236,9 @@ impl StageReport {
     }
 }
 
-/// Per-worker aggregate of a multi-worker run. Part of the v8 schema;
-/// every driver today is sequential and leaves [`RunReport::workers`]
-/// empty.
+/// Per-worker aggregate of a multi-worker run: one per worker of the
+/// in-memory column-unit implication executor. Sequential runs leave
+/// [`RunReport::workers`] empty.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerSummary {
     /// Worker index (0-based).
@@ -251,7 +251,8 @@ pub struct WorkerSummary {
     pub peak_candidates: usize,
     /// Row position where this worker observed the bitmap switch.
     pub switch_at: Option<usize>,
-    /// Row blocks this worker claimed and aggregated.
+    /// Work units this worker claimed (LHS columns, for the column-unit
+    /// executor).
     pub blocks_processed: u64,
     /// Claimed blocks whose preferred owner was another worker.
     pub blocks_stolen: u64,
@@ -264,7 +265,7 @@ pub struct RunReport {
     pub algorithm: &'static str,
     /// `"in-memory"` or `"streamed"`.
     pub mode: &'static str,
-    /// Worker threads used (0: every driver is sequential).
+    /// Worker threads used (0: a sequential run).
     pub threads: usize,
     /// Rows in the input (after the pre-scan, for streamed runs).
     pub rows: usize,
@@ -301,7 +302,7 @@ pub struct RunReport {
     pub spill_bytes: u64,
     /// Spill I/O counters (streamed runs; `None` in-memory).
     pub io: Option<IoReport>,
-    /// Per-worker aggregates (empty: every driver is sequential).
+    /// Per-worker aggregates (empty for sequential runs).
     pub workers: Vec<WorkerSummary>,
     /// Request-serving counters (`None` for batch runs; a serving layer
     /// attaches them before rendering).
@@ -699,6 +700,14 @@ impl ReportBuilder {
     /// Records how many reversed rules the driver appended.
     pub fn reverse_rules(&mut self, n: u64) -> &mut Self {
         self.report.reverse_rules = n;
+        self
+    }
+
+    /// Records the per-worker aggregates of a multi-worker run; the run's
+    /// `threads` becomes the number of workers.
+    pub fn workers(&mut self, workers: Vec<WorkerSummary>) -> &mut Self {
+        self.report.threads = workers.len();
+        self.report.workers = workers;
         self
     }
 
