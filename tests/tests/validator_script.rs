@@ -61,7 +61,20 @@ fn validate(report: &Path, algorithm: &str, mode: &str, workers: usize) -> (i32,
 fn accepts_reports_from_real_drivers() {
     let dir = TempDir::new("accepts");
     let m = matrix();
+    // Column-unit workers: as many as the host has cores, up to two.
+    let parallel = Miner::implications(0.9)
+        .threads(2)
+        .mine(&m)
+        .expect("in-memory mines cannot fail")
+        .report;
     let cases: Vec<(&str, String, &str, &str, usize)> = vec![
+        (
+            "imp-mem-columns.json",
+            parallel.to_json(),
+            "implication",
+            "in-memory",
+            parallel.workers.len(),
+        ),
         (
             "imp-mem.json",
             Miner::implications(0.9)
